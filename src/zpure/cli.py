@@ -144,6 +144,8 @@ def _summary_text(summary: HarnessSummary) -> str:
         f"modulus {summary.modulus}, {summary.trials} trials, seed {summary.seed}",
         f"  pure: {summary.pure_count}   not pure: {summary.trials - summary.pure_count}",
         f"  disagreements: {summary.disagreements}",
+        "  not pure by checker: " + ", ".join(
+            f"{name} {count}" for name, count in summary.checker_false_counts.items()),
     ]
     if summary.disagreements:
         lines.append(f"  failing trials: {list(summary.disagreement_trials)}")

@@ -26,8 +26,9 @@ from .zmodlin import (
     ModSolver,
     Vec,
     column_echelon,
+    hermite_key,
+    hermite_reduce,
     kernel_mod,
-    snf_diagonal_only,
     snf_left_transforms,
     solve_mod_many,
 )
@@ -304,25 +305,16 @@ class Subgroup:
         return self.presentation.module
 
     @cached_property
+    def key(self) -> tuple[Vec, ...]:
+        """Hermite key: subgroups of one ambient are equal iff keys are."""
+        return hermite_key(self.gens, self.ambient_orders)
+
+    @cached_property
     def cardinality(self) -> int:
-        # |H| = |ambient| / |ambient / H|, one transform-free reduction
-        n = len(self.ambient_orders)
-        if not self.gens:
-            return 1
-        rows = [list(g_col) for g_col in self._gen_matrix.entries]
-        for i in range(n):
-            rows[i].extend(self.ambient_orders[i] if i == j else 0 for j in range(n))
-        diag = snf_diagonal_only(rows, n, len(self.gens) + n)
-        quotient = prod(d for d in diag if d)
-        total = prod(self.ambient_orders)
-        if quotient == 0 or total % quotient:
-            raise InternalCheckError("subgroup index does not divide the ambient order")
-        return total // quotient
+        return prod(self.ambient_orders) // prod(row[i] for i, row in enumerate(self.key))
 
     def contains(self, x: Sequence[int]) -> bool:
-        if len(self.gens) == 0:
-            return all(v % o == 0 for v, o in zip(x, self.ambient_orders))
-        return self._solver.particular(x) is not None
+        return not any(hermite_reduce(x, self.key))
 
     def coords(self, x: Sequence[int]) -> Vec:
         """Coordinates of x in the canonical form of the subgroup."""

@@ -26,7 +26,7 @@ from .finmod import (
     divisors,
     normalize_presentation,
 )
-from .zmodlin import IntMatrix, Vec, hermite_key, kernel_mod
+from .zmodlin import IntMatrix, Vec, hermite_key, hermite_reduce, kernel_mod
 
 
 @dataclass(frozen=True)
@@ -188,22 +188,6 @@ def induced_pp_map(pair: PpPair, f: ModuleMap,
 # Formula catalog
 
 
-def _subgroup_elements(sub: Subgroup) -> frozenset:
-    """Span of the generators, enumerated breadth-first (small ambients only)."""
-    orders = sub.ambient_orders
-    zero = tuple(0 for _ in orders)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in sub.gens:
-            nxt = tuple((c + v) % o for c, v, o in zip(cur, g, orders))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
 def _dedup_test_modules(modulus: int) -> list[CanonicalModule]:
     divs = [d for d in divisors(modulus) if d >= 2]
     mods = [CanonicalModule.cyclic(modulus, d) for d in divs]
@@ -214,20 +198,7 @@ def _dedup_test_modules(modulus: int) -> list[CanonicalModule]:
 
 
 def _formula_signature(formula: PpFormula, test_modules) -> tuple:
-    return tuple(_subgroup_elements(eval_pp(formula, m)) for m in test_modules)
-
-
-def _reduce_mod_hnf(vec, hnf_rows):
-    v = list(vec)
-    w = len(v)
-    for i in range(w):
-        p = hnf_rows[i][i]
-        q = v[i] // p
-        if q:
-            row = hnf_rows[i]
-            for c in range(i, w):
-                v[c] -= q * row[c]
-    return tuple(v)
+    return tuple(eval_pp(formula, m).key for m in test_modules)
 
 
 def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
@@ -235,7 +206,8 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     at most max_rows rows over Z/modulus, deduplicated by Hermite key."""
     from itertools import product
 
-    zero_key = hermite_key([], modulus, width)
+    orders = (modulus,) * width
+    zero_key = hermite_key([], orders)
     seen = {zero_key}
     level: list[tuple[tuple, list]] = [(zero_key, [])]
     reps: list[list] = []
@@ -245,15 +217,15 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
         for key, rows in level:
             tried = set()
             for v in all_rows:
-                red = _reduce_mod_hnf(v, key)
+                red = hermite_reduce(v, key)
                 if not any(red) or red in tried:
                     continue
                 tried.add(red)
-                new_rows = rows + [v]
-                new_key = hermite_key(new_rows, modulus, width)
+                new_key = hermite_key(key + (red,), orders)
                 if new_key in seen:
                     continue
                 seen.add(new_key)
+                new_rows = rows + [v]
                 nxt.append((new_key, new_rows))
                 reps.append(new_rows)
         level = nxt

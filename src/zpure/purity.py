@@ -28,6 +28,7 @@ package, never as a mathematical discovery.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -323,6 +324,11 @@ def _harness_trial(args) -> tuple[int, tuple[bool, ...], bool]:
     return index, tuple(report.verdicts[name] for name in CHECKER_NAMES), report.consensus
 
 
+def harness_workers(jobs: int, trials: int) -> int:
+    """Worker processes for the harness: never more than trials or CPUs."""
+    return min(jobs, trials, os.cpu_count() or 1)
+
+
 def equivalence_harness(modulus: int, trials: int, seed: int,
                         bounds: Bounds = DEFAULT_BOUNDS, jobs: int = 1,
                         max_gens: int = 3) -> HarnessSummary:
@@ -332,12 +338,15 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
         raise InputError("trials must be >= 1")
     if modulus < 2:
         raise InputError("modulus must be >= 2")
+    if max_gens < 0:
+        raise InputError("max_gens must be >= 0")
     bounds.validate()
     tasks = [(modulus, seed, i, bounds, max_gens) for i in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = harness_workers(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_harness_trial, tasks,
-                                    chunksize=max(1, trials // (4 * jobs))))
+                                    chunksize=max(1, trials // (4 * workers))))
     else:
         results = [_harness_trial(t) for t in tasks]
     results.sort(key=lambda r: r[0])

@@ -5,6 +5,12 @@ can occur.  This module is the computational substrate for the rest of the
 package: Smith normal form with unimodular transforms, solving linear
 congruence systems with componentwise moduli, and kernel lattices.
 
+Every reduction whose result has only one correct value goes through one
+kernel: ``hermite_key`` gives the Hermite normal form of a subgroup of
+prod Z/o_i, reducing entries modulo the orders o_i as it eliminates, and
+``hermite_reduce`` gives the unique representative of a coset.  Subgroup
+orders, membership tests and the pp catalog's deduplication all use them.
+
 Matrix convention (fixed package-wide): a matrix represents a map acting on
 coordinate *columns*, rows are indexed by the codomain and columns by the
 domain.
@@ -266,13 +272,6 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     )
 
 
-def snf_diagonal_only(rows: Sequence[Sequence[int]], m: int, n: int) -> list[int]:
-    """Just the invariant factors; no transform bookkeeping."""
-    S = [list(r) for r in rows]
-    _snf_core(S, m, n, False, False, False)
-    return [S[i][i] for i in range(min(m, n))]
-
-
 def snf_left_transforms(rows: Sequence[Sequence[int]], m: int, n: int):
     """(U, U_inverse, diagonal) with U*A*V = S; V is not tracked."""
     S = [list(r) for r in rows]
@@ -317,47 +316,62 @@ def column_echelon(columns: Sequence[Sequence[int]], dim: int) -> list[Vec]:
     return [tuple(b) for b in basis if b is not None]
 
 
-def hermite_key(vectors: Sequence[Sequence[int]], modulus: int, dim: int) -> tuple:
-    """Canonical key for the lattice spanned by ``vectors`` and modulus*Z^dim.
+def hermite_key(vectors: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple[Vec, ...]:
+    """Hermite normal form of the lattice spanned by ``vectors`` and o_i*e_i.
 
-    Used to deduplicate row spans of formula matrices: two systems with the
-    same key define the same solution sets in every module over Z/modulus.
+    The lattice contains every o_i*e_i, so it has full rank and the form is
+    square: row i is zero left of its pivot p_i, p_i divides o_i, and every
+    entry above a pivot p_j lies in [0, p_j).  Because o_i*e_i belongs to the
+    lattice, coordinate i is reduced modulo o_i while eliminating, and no
+    entry grows past max(orders).
+
+    The form is unique, so it is a canonical key: two generating sets span
+    the same subgroup of prod Z/o_i exactly when their keys are equal, and
+    that subgroup has order prod(o_i) / prod(p_i).
     """
-    rows = [list(v) for v in vectors]
-    for i in range(dim):
-        rows.append([modulus if j == i else 0 for j in range(dim)])
-    # integer row HNF (upper triangular, positive pivots, reduced above)
-    pivot_row = 0
-    for j in range(dim):
-        # combine all rows below pivot_row to leave one nonzero entry in col j
-        k = pivot_row
-        while True:
-            nz = [i for i in range(pivot_row, len(rows)) if rows[i][j] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(rows[i][j]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = rows[i][j] // rows[i0][j]
-                ri, r0 = rows[i], rows[i0]
-                for c in range(j, dim):
-                    ri[c] -= q * r0[c]
-        nz = [i for i in range(pivot_row, len(rows)) if rows[i][j] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
-        if rows[pivot_row][j] < 0:
-            rows[pivot_row] = [-v for v in rows[pivot_row]]
-        p = rows[pivot_row][j]
-        for i in range(pivot_row):
-            if rows[i][j]:
-                q = rows[i][j] // p
-                ri, rp = rows[i], rows[pivot_row]
-                for c in range(j, dim):
-                    ri[c] -= q * rp[c]
-        pivot_row += 1
-    return tuple(tuple(r) for r in rows[:pivot_row])
+    w = len(orders)
+    if any(o < 1 for o in orders):
+        raise InputError("orders must be >= 1")
+    basis = [[o if i == j else 0 for j in range(w)] for i, o in enumerate(orders)]
+    for vec in vectors:
+        v = [x % o for x, o in zip(vec, orders)]
+        for i in range(w):
+            a = v[i]
+            if a == 0:
+                continue
+            b = basis[i]
+            x, y, g = xgcd(b[i], a)
+            bg, ag = b[i] // g, a // g
+            for k in range(i + 1, w):
+                bk, vk, o = b[k], v[k], orders[k]
+                b[k] = (x * bk + y * vk) % o
+                v[k] = (bg * vk - ag * bk) % o
+            b[i] = g
+    for j in range(w):
+        row = basis[j]
+        p = row[j]
+        for r in range(j):
+            q = basis[r][j] // p
+            if q:
+                other = basis[r]
+                for k in range(j, w):
+                    other[k] -= q * row[k]
+    return tuple(tuple(r) for r in basis)
+
+
+def hermite_reduce(vec: Sequence[int], key: Sequence[Sequence[int]]) -> Vec:
+    """The unique representative of ``vec`` modulo the lattice of ``key``.
+
+    Coordinate i of the result lies in [0, p_i), so ``vec`` belongs to the
+    lattice exactly when the result is zero.
+    """
+    v = list(vec)
+    for i, row in enumerate(key):
+        q = v[i] // row[i]
+        if q:
+            for k in range(i, len(v)):
+                v[k] -= q * row[k]
+    return tuple(v)
 
 
 def _row_echelon_inplace(rows: list[list[int]], width: int) -> list[list[int]]:

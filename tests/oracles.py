@@ -154,3 +154,43 @@ def pp_solution_set(A_rows, B_rows, invs):
             flat = tuple(v for x in xs for v in x)
             sols.add(flat)
     return sols
+
+
+def reference_hermite_key(vectors, modulus, dim):
+    """Row Hermite form of the lattice spanned by ``vectors`` and modulus*Z^dim.
+
+    Sort-based integer elimination with no modular reduction: the reference
+    the modular kernel ``zmodlin.hermite_key`` is checked against.
+    """
+    rows = [list(v) for v in vectors]
+    for i in range(dim):
+        rows.append([modulus if j == i else 0 for j in range(dim)])
+    pivot_row = 0
+    for j in range(dim):
+        while True:
+            nz = [i for i in range(pivot_row, len(rows)) if rows[i][j] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(rows[i][j]))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = rows[i][j] // rows[i0][j]
+                ri, r0 = rows[i], rows[i0]
+                for c in range(j, dim):
+                    ri[c] -= q * r0[c]
+        nz = [i for i in range(pivot_row, len(rows)) if rows[i][j] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
+        if rows[pivot_row][j] < 0:
+            rows[pivot_row] = [-v for v in rows[pivot_row]]
+        p = rows[pivot_row][j]
+        for i in range(pivot_row):
+            if rows[i][j]:
+                q = rows[i][j] // p
+                ri, rp = rows[i], rows[pivot_row]
+                for c in range(j, dim):
+                    ri[c] -= q * rp[c]
+        pivot_row += 1
+    return tuple(tuple(r) for r in rows[:pivot_row])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from zpure.cli import (
     report_document,
     sequence_document,
 )
-from zpure.purity import purity_report
+from zpure.purity import harness_workers, purity_report
 
 
 @pytest.fixture()
@@ -67,6 +71,24 @@ def test_check_rejects_non_surjective(run_cli, tmp_path):
     code, _, err = run_cli("check", str(path))
     assert code == 2
     assert "surjective" in err
+
+
+def test_check_large_non_surjective_exits_quickly(tmp_path):
+    # five generators at N=72: integer Smith reduction of this system blows up,
+    # so the order of the image must not depend on it
+    doc = {"modulus": 72, "L": [], "M": [24, 72, 72, 72, 72], "N": [24, 72, 72, 72, 72],
+           "f": [[], [], [], [], []],
+           "g": [[7, 18, 17, 4, 11], [57, 60, 8, 1, 60], [24, 70, 29, 24, 60],
+                 [51, 70, 60, 50, 19], [21, 19, 66, 49, 1]]}
+    path = tmp_path / "n72.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "zpure.cli", "check", str(path)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert "g is not surjective" in proc.stderr
 
 
 def test_check_rejects_ill_defined_map(run_cli, tmp_path):
@@ -127,6 +149,22 @@ def test_random_invalid_trials(run_cli):
     assert code == 2
 
 
+def test_random_negative_max_gens(run_cli):
+    code, out, err = run_cli("random", "--modulus", "4", "--trials", "2",
+                             "--max-gens", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_gens must be >= 0\n"
+
+
+def test_harness_workers_clamped():
+    cpus = os.cpu_count() or 1
+    assert harness_workers(10 ** 9, 3) == min(3, cpus)
+    assert harness_workers(10 ** 9, 10 ** 9) == cpus
+    assert harness_workers(2, 100) == min(2, cpus)
+    assert harness_workers(1, 100) == 1
+
+
 def test_lemmas_small(run_cli):
     code, out, _ = run_cli("lemmas", "--modulus", "4", "--trials", "3",
                            "--seed", "1", "--format", "json")
@@ -155,6 +193,11 @@ def test_text_output_modes(run_cli, tmp_path):
                            "--seed", "1", "--format", "text")
     assert code == 0
     assert "disagreements: 0" in out
+    code, out, _ = run_cli("random", "--modulus", "4", "--trials", "10",
+                           "--seed", "3", "--format", "text")
+    assert code == 0
+    assert ("  not pure by checker: hom_lifting 3, split 3, fp_functors 3, "
+            "pp_pairs 3, tensor 3, dual_split 3") in out.splitlines()
     code, out, _ = run_cli("lemmas", "--modulus", "4", "--trials", "2",
                            "--seed", "0", "--format", "text")
     assert code == 0

@@ -119,6 +119,23 @@ def test_kernel_image_against_enumeration():
         assert got_img == img
 
 
+def test_subgroup_order_and_membership_against_enumeration():
+    # ambients need not be chain-form, and coordinates of order 1 are allowed
+    rng = random.Random("subgroup-brute")
+    for _ in range(60):
+        orders = tuple(rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(rng.randint(0, 3)))
+        if prod(orders) > 144:
+            continue
+        gens = tuple(tuple(rng.randint(-12, 12) for _ in orders)
+                     for _ in range(rng.randint(0, 4)))
+        sub = Subgroup(orders, 12, gens)
+        span = span_mod(gens, orders)
+        assert sub.cardinality == len(span)
+        for x in module_elements(orders):
+            assert sub.contains(x) == (x in span)
+            assert sub.contains(tuple(v + o for v, o in zip(x, orders))) == (x in span)
+
+
 def test_subgroup_coords_roundtrip():
     amb = Z(8, 2, 8)
     sub = Subgroup(amb.invariants, 8, ((1, 2), (0, 4)))

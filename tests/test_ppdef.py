@@ -24,11 +24,10 @@ from zpure.ppdef import (
     pp_pair_value,
     trivial_formula,
     _dedup_test_modules,
-    _subgroup_elements,
 )
 from zpure.zmodlin import IntMatrix
 
-from oracles import pp_solution_set
+from oracles import pp_solution_set, span_mod
 
 
 def Z(n, *invs):
@@ -36,7 +35,8 @@ def Z(n, *invs):
 
 
 def eval_set(formula, module):
-    return _subgroup_elements(eval_pp(formula, module))
+    sub = eval_pp(formula, module)
+    return span_mod(sub.gens, sub.ambient_orders)
 
 
 def brute_set(formula, module):
@@ -126,7 +126,7 @@ def test_induced_map_against_elementwise_oracle():
     dst = pp_pair_value(pair, f.codomain)
     ind = induced_pp_map(pair, f, src, dst)
     # check: for every element of phi(dom), class of image == image of class
-    for x in _subgroup_elements(eval_pp(pair.phi, f.domain)):
+    for x in eval_set(pair.phi, f.domain):
         img = f.apply(x)
         assert ind.apply(src.express(x)) == dst.express(img)
 
@@ -205,6 +205,33 @@ def test_catalog_deterministic():
     b = enumerate_pp(6, 1, 2, 2)
     assert a == b
     assert a[0] == trivial_formula()  # the trivially-true class leads
+
+
+# Catalogs of the sort-based enumerator that preceded the modular Hermite
+# kernel, keyed by (modulus, free variables, bound variables, rows).
+GOLDEN_CATALOGS = {
+    (8, 1, 2, 2): ["0 = 0", "E y1 : x1 + 6y1 = 0", "E y1 : x1 + 4y1 = 0", "E y1 : x1 = 0",
+                   "2x1 = 0", "4x1 = 0", "E y1 : 2x1 + 4y1 = 0",
+                   "E y1 : 4y1 = 0 & x1 + 2y1 = 0"],
+    (9, 1, 2, 2): ["0 = 0", "E y1 : x1 + 6y1 = 0", "E y1 : x1 = 0", "3x1 = 0"],
+    (4, 2, 1, 1): ["0 = 0", "x2 = 0", "2x2 = 0", "x1 = 0", "x1 + x2 = 0", "x1 + 2x2 = 0",
+                   "x1 + 3x2 = 0", "2x1 = 0", "2x1 + x2 = 0", "2x1 + 2x2 = 0",
+                   "E y1 : x2 + 2y1 = 0", "E y1 : x1 + 2y1 = 0",
+                   "E y1 : x1 + x2 + 2y1 = 0"],
+    (6, 2, 1, 1): ["0 = 0", "x2 = 0", "2x2 = 0", "3x2 = 0", "x1 = 0", "x1 + x2 = 0",
+                   "x1 + 2x2 = 0", "x1 + 3x2 = 0", "x1 + 4x2 = 0", "x1 + 5x2 = 0",
+                   "2x1 = 0", "2x1 + x2 = 0", "2x1 + 2x2 = 0", "2x1 + 3x2 = 0",
+                   "2x1 + 4x2 = 0", "2x1 + 5x2 = 0", "3x1 = 0", "3x1 + x2 = 0",
+                   "3x1 + 2x2 = 0", "3x1 + 3x2 = 0"],
+    (8, 1, 2, 1): ["0 = 0", "E y1 : x1 + 6y1 = 0", "E y1 : x1 + 4y1 = 0", "E y1 : x1 = 0",
+                   "2x1 = 0", "4x1 = 0", "E y1 : 2x1 + 4y1 = 0"],
+    (9, 1, 1, 2): ["0 = 0", "E y1 : x1 + 6y1 = 0", "E y1 : x1 = 0", "3x1 = 0"],
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(GOLDEN_CATALOGS))
+def test_catalog_matches_golden(bounds):
+    assert [format_pp(f) for f in enumerate_pp(*bounds)] == GOLDEN_CATALOGS[bounds]
 
 
 def test_format_parse_roundtrip():

@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -8,6 +8,7 @@ from zpure.zmodlin import (
     IntMatrix,
     column_echelon,
     hermite_key,
+    hermite_reduce,
     kernel_mod,
     smith_normal_form,
     solve_linear_mod,
@@ -15,7 +16,13 @@ from zpure.zmodlin import (
 )
 from zpure.errors import InputError
 
-from oracles import det_fraction, elementary_invariant_factors, enumerate_solutions, span_mod
+from oracles import (
+    det_fraction,
+    elementary_invariant_factors,
+    enumerate_solutions,
+    reference_hermite_key,
+    span_mod,
+)
 
 
 def check_snf(A):
@@ -171,11 +178,66 @@ def test_column_echelon_preserves_lattice():
 def test_hermite_key_is_lattice_invariant():
     N = 6
     # same row span written two ways
-    k1 = hermite_key([(2, 0), (0, 3)], N, 2)
-    k2 = hermite_key([(2, 3), (2, 0), (4, 3)], N, 2)
+    k1 = hermite_key([(2, 0), (0, 3)], (N, N))
+    k2 = hermite_key([(2, 3), (2, 0), (4, 3)], (N, N))
     assert k1 == k2
-    k3 = hermite_key([(1, 0)], N, 2)
+    k3 = hermite_key([(1, 0)], (N, N))
     assert k3 != k1
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 8, 9, 12, 72])
+def test_hermite_key_matches_reference(N):
+    rng = random.Random(f"hnf:{N}")
+    for _ in range(60):
+        w = rng.randint(0, 4)
+        vs = [tuple(rng.randint(-3 * N, 3 * N) for _ in range(w))
+              for _ in range(rng.randint(0, 5))]
+        key = hermite_key(vs, (N,) * w)
+        assert key == reference_hermite_key(vs, N, w), (vs, N)
+        assert all(0 <= v <= N for row in key for v in row)
+
+
+def test_hermite_key_rejects_order_zero():
+    with pytest.raises(InputError):
+        hermite_key([(1, 1)], (4, 0))
+
+
+def _random_ambient(rng):
+    # coordinate orders need not form a divisibility chain, and may be 1
+    while True:
+        orders = tuple(rng.choice([1, 2, 3, 4, 6]) for _ in range(rng.randint(0, 3)))
+        if prod(orders) <= 96:
+            return orders
+
+
+def test_hermite_key_equal_iff_same_subgroup():
+    rng = random.Random("hnf-spans")
+    for _ in range(40):
+        orders = _random_ambient(rng)
+        by_span = {}
+        by_key = {}
+        for _ in range(25):
+            gens = [tuple(rng.randint(-8, 8) for _ in orders)
+                    for _ in range(rng.randint(0, 3))]
+            span = span_mod(gens, orders)
+            key = hermite_key(gens, orders)
+            assert by_span.setdefault(span, key) == key
+            assert by_key.setdefault(key, span) == span
+
+
+def test_hermite_reduce_picks_one_coset_representative():
+    rng = random.Random("hnf-cosets")
+    for _ in range(40):
+        orders = _random_ambient(rng)
+        gens = [tuple(rng.randint(-8, 8) for _ in orders) for _ in range(rng.randint(0, 3))]
+        key = hermite_key(gens, orders)
+        span = span_mod(gens, orders)
+        for x in product(*[range(o) for o in orders]):
+            rep = hermite_reduce(x, key)
+            assert (not any(rep)) == (x in span)
+            shift = rng.choice(sorted(span))
+            moved = tuple(a + b - 2 * o for a, b, o in zip(x, shift, orders))
+            assert hermite_reduce(moved, key) == rep
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4])
