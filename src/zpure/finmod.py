@@ -237,24 +237,6 @@ class ModuleMap:
         return (self.domain.cardinality == self.codomain.cardinality
                 and self.is_surjective())
 
-    def inverse(self) -> "ModuleMap":
-        if not self.is_bijective():
-            raise InputError("inverse of a non-bijective map")
-        cols = []
-        for i in range(self.codomain.ngens):
-            target = self.codomain.generator(i)
-            sol = solve_mod_many(self.matrix, target, self.codomain.invariants)
-            if sol is None:
-                raise InternalCheckError("bijective map with unsolvable generator")
-            cols.append(self.domain.reduce(sol[0]))
-        mat = IntMatrix(self.domain.ngens, self.codomain.ngens,
-                        tuple(tuple(cols[j][i] for j in range(self.codomain.ngens))
-                              for i in range(self.domain.ngens)))
-        inv = ModuleMap(self.codomain, self.domain, mat)
-        if (inv @ self) != ModuleMap.identity(self.domain):
-            raise InternalCheckError("inverse verification failed")
-        return inv
-
     def cokernel(self) -> tuple[CanonicalModule, "ModuleMap", IntMatrix]:
         """Quotient of the codomain by the image: (module, projection, section)."""
         return quotient_by_subgroup(self.codomain, self.image())
@@ -718,7 +700,16 @@ def direct_sum_sequences(a: ShortSequence, b: ShortSequence) -> ShortSequence:
 
 
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def random_module(modulus: int, rng: random.Random, max_gens: int = 3) -> CanonicalModule:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, InternalCheckError
 from .finmod import (
@@ -29,8 +29,6 @@ from .finmod import (
     ModuleMap,
     Presentation,
     Subgroup,
-    direct_sum,
-    direct_sum_maps,
     divisors,
     dual_map,
     dual_module,
@@ -173,12 +171,6 @@ def functor_from_values(cat: IndexCategoryD, variance: str,
     return FunctorOnD(cat, variance, values, actions)
 
 
-def zero_functor(cat: IndexCategoryD, variance: str = COVARIANT) -> FunctorOnD:
-    zero = CanonicalModule.zero(cat.modulus)
-    return functor_from_values(cat, variance, lambda d: zero,
-                               lambda d, e: ModuleMap.zero(zero, zero))
-
-
 # ---------------------------------------------------------------------------
 # Hom-group plumbing
 
@@ -266,22 +258,6 @@ def dual_functor(F: FunctorOnD) -> FunctorOnD:
         F.category, variance,
         lambda d: dual_module(F.value(d)).module,
         lambda d, e: dual_map(F.action(d, e)))
-
-
-def direct_sum_functors(F: FunctorOnD, G: FunctorOnD) -> FunctorOnD:
-    if F.category != G.category or F.variance != G.variance:
-        raise InputError("direct sum of incompatible functors")
-    cat = F.category
-    sums = {d: direct_sum([F.value(d), G.value(d)]) for d in cat.objects}
-
-    def action_of(d, e):
-        if F.is_covariant():
-            src, dst = sums[d], sums[e]
-        else:
-            src, dst = sums[e], sums[d]
-        return direct_sum_maps([F.action(d, e), G.action(d, e)], src, dst)
-
-    return functor_from_values(cat, F.variance, lambda d: sums[d].module, action_of)
 
 
 # ---------------------------------------------------------------------------
@@ -476,47 +452,6 @@ def coend_evaluation_map(F: FunctorOnD, a: int) -> tuple[CoendResult, ModuleMap]
     Wm = IntMatrix.from_rows(W, cols=total)
     final = Wm @ coend.pres.lift
     return coend, ModuleMap(coend.group, fa, final)
-
-
-def _coend_transport(src: CoendResult, dst: CoendResult,
-                     blocks: Sequence[ModuleMap]) -> ModuleMap:
-    """Block-diagonal map between coend ambients pushed to the quotients."""
-    total_src = len(src.orders)
-    total_dst = len(dst.orders)
-    W = [[0] * total_src for _ in range(total_dst)]
-    for i_d, blk in enumerate(blocks):
-        for r in range(blk.matrix.rows):
-            for c in range(blk.matrix.cols):
-                W[dst.offsets[i_d] + r][src.offsets[i_d] + c] = blk.matrix.entries[r][c]
-    Wm = IntMatrix.from_rows(W, cols=total_src)
-    final = dst.pres.project @ Wm @ src.pres.lift
-    return ModuleMap(src.group, dst.group, final)
-
-
-def coend_map_left(G1: FunctorOnD, G2: FunctorOnD, F: FunctorOnD,
-                   eta: Sequence[ModuleMap],
-                   src: Optional[CoendResult] = None,
-                   dst: Optional[CoendResult] = None) -> ModuleMap:
-    """coend(G1, F) -> coend(G2, F) induced by a natural map eta: G1 -> G2."""
-    cat = F.category
-    src = src if src is not None else coend_tensor(G1, F)
-    dst = dst if dst is not None else coend_tensor(G2, F)
-    blocks = [tensor_pair_map(eta[i], ModuleMap.identity(F.value(d)))
-              for i, d in enumerate(cat.objects)]
-    return _coend_transport(src, dst, blocks)
-
-
-def coend_map_right(G: FunctorOnD, F1: FunctorOnD, F2: FunctorOnD,
-                    eta: Sequence[ModuleMap],
-                    src: Optional[CoendResult] = None,
-                    dst: Optional[CoendResult] = None) -> ModuleMap:
-    """coend(G, F1) -> coend(G, F2) induced by a natural map eta: F1 -> F2."""
-    cat = G.category
-    src = src if src is not None else coend_tensor(G, F1)
-    dst = dst if dst is not None else coend_tensor(G, F2)
-    blocks = [tensor_pair_map(ModuleMap.identity(G.value(d)), eta[i])
-              for i, d in enumerate(cat.objects)]
-    return _coend_transport(src, dst, blocks)
 
 
 # ---------------------------------------------------------------------------

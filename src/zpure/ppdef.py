@@ -8,6 +8,12 @@ lattice.
 
 Elements of M^k are flattened variable-major: coordinate (j, t) of variable
 x_j at invariant t sits at index j * ngens(M) + t.
+
+The bounded catalog (``enumerate_pp``) needs no evaluation: its candidate
+row spans come from Hermite keys, and two formulas are identified when the
+Hermite forms of their relation lattices over each Z/d, d | N, agree on the
+free coordinates, which is exactly when they define the same subgroup of
+every Z/N-module.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .finmod import (
     divisors,
     normalize_presentation,
 )
-from .zmodlin import IntMatrix, Vec, hermite_key, hermite_reduce, kernel_mod
+from .zmodlin import IntMatrix, Vec, hermite_extend, hermite_key, kernel_mod
 
 
 @dataclass(frozen=True)
@@ -188,22 +194,37 @@ def induced_pp_map(pair: PpPair, f: ModuleMap,
 # Formula catalog
 
 
-def _dedup_test_modules(modulus: int) -> list[CanonicalModule]:
-    divs = [d for d in divisors(modulus) if d >= 2]
-    mods = [CanonicalModule.cyclic(modulus, d) for d in divs]
-    if divs:
-        small = divs[0]
-        mods.append(CanonicalModule(modulus, (small, modulus)))
-    return mods
+def _formula_signature(formula: PpFormula, modulus: int) -> tuple:
+    """Equal for two formulas exactly when they define the same subgroup of
+    (Z/d)^k for every divisor d >= 2 of the modulus.
 
-
-def _formula_signature(formula: PpFormula, test_modules) -> tuple:
-    return tuple(eval_pp(formula, m).key for m in test_modules)
+    Over Z/d the solutions of the rows [B | A] (bound coordinates first) are
+    the annihilator R^perp of their span R, and projecting R^perp onto the
+    free coordinates gives the annihilator of R_x, the part of R that is zero
+    on the bound coordinates.  The annihilator pairing on (Z/d)^k is perfect,
+    so phi(Z/d) determines R_x and is determined by it.  The Hermite rows of
+    R whose pivots are free coordinates span R_x and are its Hermite form.
+    """
+    k, m = formula.free_count, formula.bound_count
+    rows = [b + a for a, b in zip(formula.a.entries, formula.b.entries)]
+    sig = []
+    for d in divisors(modulus):
+        if d >= 2:
+            key = hermite_key(rows, (d,) * (m + k))
+            sig.append(tuple(r[m:] for r in key[m:]))
+    return tuple(sig)
 
 
 def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     """Representatives (as row lists) of all row-span lattices reachable with
-    at most max_rows rows over Z/modulus, deduplicated by Hermite key."""
+    at most max_rows rows over Z/modulus, each kept once by Hermite key.
+
+    A child of a lattice adds one row.  The Hermite representative of a
+    coset (coordinate i in [0, p_i) for the pivots p_i) is its
+    lexicographically first member in [0, modulus)^width, so scanning the
+    box of representatives in order visits every nonzero coset once, at the
+    row a scan of all modulus^width rows would reach it first.
+    """
     from itertools import product
 
     orders = (modulus,) * width
@@ -211,17 +232,13 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     seen = {zero_key}
     level: list[tuple[tuple, list]] = [(zero_key, [])]
     reps: list[list] = []
-    all_rows = list(product(range(modulus), repeat=width))
     for _ in range(max_rows):
         nxt = []
         for key, rows in level:
-            tried = set()
-            for v in all_rows:
-                red = hermite_reduce(v, key)
-                if not any(red) or red in tried:
-                    continue
-                tried.add(red)
-                new_key = hermite_key(key + (red,), orders)
+            box = product(*(range(key[i][i]) for i in range(width)))
+            next(box)  # the zero coset adds nothing
+            for v in box:
+                new_key = hermite_extend(key, v, orders)
                 if new_key in seen:
                     continue
                 seen.add(new_key)
@@ -240,18 +257,19 @@ def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
     The catalog always begins with the divisibility formulas (exists y,
     x = d*y; requires max_bound >= 1) and the annihilator formulas (d*x = 0)
     for every divisor d of the modulus, then appends every further formula
-    reachable within the bounds.  Formulas are deduplicated by their
-    evaluation on a fixed set of test modules; the first representative in
-    enumeration order is kept.
+    reachable within the bounds.  Two formulas count as equal when they
+    define the same subgroup of (Z/d)^free_vars for every divisor d >= 2 of
+    the modulus, compared by Hermite forms (see ``_formula_signature``); the
+    first representative in enumeration order is kept.  Since pp formulas
+    commute with direct sums, they then agree on every Z/modulus-module.
     """
     if free_vars < 1 or max_bound < 0 or max_rows < 0:
         raise InputError("catalog bounds out of range")
-    test_modules = tuple(_dedup_test_modules(modulus))
     catalog: list[PpFormula] = []
     seen_sigs = set()
 
     def offer(formula: PpFormula):
-        sig = _formula_signature(formula, test_modules)
+        sig = _formula_signature(formula, modulus)
         if sig not in seen_sigs:
             seen_sigs.add(sig)
             catalog.append(formula)

@@ -341,6 +341,9 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
     if max_gens < 0:
         raise InputError("max_gens must be >= 0")
     bounds.validate()
+    # built here, before any fork, so pool workers inherit warm catalogs
+    enumerate_pp(modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
+    fp_catalog(modulus, bounds.fp_depth)
     tasks = [(modulus, seed, i, bounds, max_gens) for i in range(trials)]
     workers = harness_workers(jobs, trials)
     if workers > 1:

@@ -333,6 +333,30 @@ def hermite_key(vectors: Sequence[Sequence[int]], orders: Sequence[int]) -> tupl
     if any(o < 1 for o in orders):
         raise InputError("orders must be >= 1")
     basis = [[o if i == j else 0 for j in range(w)] for i, o in enumerate(orders)]
+    _hermite_insert(basis, vectors, orders)
+    return _hermite_normalize(basis)
+
+
+def hermite_extend(key: Sequence[Sequence[int]], vec: Sequence[int],
+                   orders: Sequence[int]) -> tuple[Vec, ...]:
+    """``hermite_key(key + (vec,), orders)`` for a key made for ``orders``,
+    computed by inserting the one new vector into the key's rows."""
+    basis = [list(r) for r in key]
+    _hermite_insert(basis, (vec,), orders)
+    return _hermite_normalize(basis)
+
+
+def _hermite_insert(basis: list[list[int]], vectors: Sequence[Sequence[int]],
+                    orders: Sequence[int]):
+    """Add ``vectors`` to the lattice of a triangular basis, in place.
+
+    The rows from k on must span o_k*e_k for every k, as they do in diag(o)
+    and in every key.  Row i is combined with a vector by an extended-gcd
+    step that clears coordinate i of the vector; rows below i are still
+    untouched then, so reducing coordinate k > i modulo o_k keeps the
+    lattice, and the result again has the property.
+    """
+    w = len(orders)
     for vec in vectors:
         v = [x % o for x, o in zip(vec, orders)]
         for i in range(w):
@@ -347,6 +371,11 @@ def hermite_key(vectors: Sequence[Sequence[int]], orders: Sequence[int]) -> tupl
                 b[k] = (x * bk + y * vk) % o
                 v[k] = (bg * vk - ag * bk) % o
             b[i] = g
+
+
+def _hermite_normalize(basis: list[list[int]]) -> tuple[Vec, ...]:
+    """Reduce every entry above a pivot into [0, pivot); returns the key."""
+    w = len(basis)
     for j in range(w):
         row = basis[j]
         p = row[j]

@@ -1,10 +1,14 @@
 """Brute-force oracles, independent of the library's computation paths.
 
 Everything here enumerates residue vectors or uses textbook formulas
-directly; nothing calls back into the solver/SNF code it cross-checks.
+directly; nothing calls back into the solver/SNF code it cross-checks.  The
+one exception is the reference pp catalog at the end, which keeps the
+catalog's first construction as the regression reference for the current
+one.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -194,3 +198,103 @@ def reference_hermite_key(vectors, modulus, dim):
                     ri[c] -= q * rp[c]
         pivot_row += 1
     return tuple(tuple(r) for r in rows[:pivot_row])
+
+
+# ---------------------------------------------------------------------------
+# The pp catalog as first built: every row of [0, N)^width is reduced against
+# every kept key, and formulas are deduplicated by evaluating them on test
+# modules.  It uses the library's pp evaluation and Hermite kernel, which
+# have oracles of their own above; it is the reference the Hermite-box
+# enumerator and the Hermite signature of ``zpure.ppdef`` are checked against.
+
+
+def dedup_test_modules(modulus):
+    """Z/d for every divisor d >= 2, and Z/small + Z/N for the least one."""
+    from zpure.finmod import CanonicalModule
+
+    divs = [d for d in reference_divisors(modulus) if d >= 2]
+    mods = [CanonicalModule.cyclic(modulus, d) for d in divs]
+    if divs:
+        small = divs[0]
+        mods.append(CanonicalModule(modulus, (small, modulus)))
+    return mods
+
+
+def reference_signature(formula, test_modules):
+    """Hermite keys of the formula's evaluations on the test modules."""
+    from zpure.ppdef import eval_pp
+
+    return tuple(eval_pp(formula, m).key for m in test_modules)
+
+
+def reference_row_spans(modulus, width, max_rows):
+    """Row-span representatives from a scan of all modulus^width rows."""
+    from zpure.zmodlin import hermite_key, hermite_reduce
+
+    orders = (modulus,) * width
+    zero_key = hermite_key([], orders)
+    seen = {zero_key}
+    level = [(zero_key, [])]
+    reps = []
+    all_rows = list(product(range(modulus), repeat=width))
+    for _ in range(max_rows):
+        nxt = []
+        for key, rows in level:
+            tried = set()
+            for v in all_rows:
+                red = hermite_reduce(v, key)
+                if not any(red) or red in tried:
+                    continue
+                tried.add(red)
+                new_key = hermite_key(key + (red,), orders)
+                if new_key in seen:
+                    continue
+                seen.add(new_key)
+                new_rows = rows + [v]
+                nxt.append((new_key, new_rows))
+                reps.append(new_rows)
+        level = nxt
+    return reps
+
+
+@lru_cache(maxsize=None)
+def reference_enumerate_pp(modulus, free_vars=1, max_bound=2, max_rows=2):
+    """The catalog in the order and with the representatives of
+    ``zpure.ppdef.enumerate_pp``."""
+    from zpure.ppdef import (
+        PpFormula,
+        annihilator_formula,
+        divisibility_formula,
+        trivial_formula,
+    )
+    from zpure.zmodlin import IntMatrix
+
+    test_modules = tuple(dedup_test_modules(modulus))
+    catalog = []
+    seen_sigs = set()
+
+    def offer(formula):
+        sig = reference_signature(formula, test_modules)
+        if sig not in seen_sigs:
+            seen_sigs.add(sig)
+            catalog.append(formula)
+
+    offer(trivial_formula(free_vars))
+    if free_vars == 1:
+        for d in reference_divisors(modulus):
+            if max_bound >= 1:
+                offer(divisibility_formula(d, modulus))
+        for d in reference_divisors(modulus):
+            offer(annihilator_formula(d))
+    for m in range(0, max_bound + 1):
+        width = free_vars + m
+        for rows in reference_row_spans(modulus, width, max_rows):
+            a = IntMatrix.from_rows([r[:free_vars] for r in rows], cols=free_vars)
+            b = IntMatrix.from_rows([r[free_vars:] for r in rows], cols=m)
+            offer(PpFormula(free_vars, m, a, b))
+    return tuple(catalog)
+
+
+def reference_divisors(n):
+    """Divisors of n in ascending order, by testing every candidate."""
+    return [d for d in range(1, n + 1) if n % d == 0]

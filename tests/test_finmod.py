@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd, prod
 
 import pytest
@@ -10,6 +11,7 @@ from zpure.finmod import (
     ShortSequence,
     Subgroup,
     canonical_from_cyclic_orders,
+    divisors,
     direct_sum,
     direct_sum_sequences,
     dual_map,
@@ -30,7 +32,7 @@ from zpure.finmod import (
 )
 from zpure.zmodlin import IntMatrix
 
-from oracles import all_homs, apply_matrix, module_elements, span_mod
+from oracles import all_homs, apply_matrix, module_elements, reference_divisors, span_mod
 
 
 def Z(n, *invs):
@@ -427,3 +429,14 @@ def test_direct_sum_sequences_valid():
     total = direct_sum_sequences(s1, s2)
     assert is_exact(total.f, total.g)
     assert total.middle.cardinality == s1.middle.cardinality * s2.middle.cardinality
+
+
+def test_divisors_match_definition():
+    for n in range(1, 3001):
+        assert divisors(n) == reference_divisors(n)
+
+
+def test_divisors_of_large_prime_is_fast():
+    t0 = time.perf_counter()
+    assert divisors(10**9 + 7) == [1, 10**9 + 7]
+    assert time.perf_counter() - t0 < 0.1

@@ -18,10 +18,7 @@ from zpure.funcat import (
     COVARIANT,
     FunctorOnD,
     build_index_category,
-    coend_map_left,
-    coend_map_right,
     coend_tensor,
-    direct_sum_functors,
     dual_functor,
     dual_of_hom_check,
     eval_fp_functor,
@@ -38,9 +35,9 @@ from zpure.funcat import (
     restrict_module,
     tensor_functor,
     coend_evaluation_map,
-    zero_functor,
 )
 
+from helpers import coend_map_left, coend_map_right, direct_sum_functors, zero_functor
 from oracles import all_homs
 
 

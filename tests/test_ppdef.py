@@ -23,11 +23,20 @@ from zpure.ppdef import (
     parse_pp,
     pp_pair_value,
     trivial_formula,
-    _dedup_test_modules,
+    _enumerate_row_spans,
 )
+from zpure import ppdef
+from zpure.finmod import divisors
 from zpure.zmodlin import IntMatrix
 
-from oracles import pp_solution_set, span_mod
+from oracles import (
+    dedup_test_modules,
+    pp_solution_set,
+    reference_enumerate_pp,
+    reference_row_spans,
+    reference_signature,
+    span_mod,
+)
 
 
 def Z(n, *invs):
@@ -169,18 +178,18 @@ def test_additivity_on_direct_sums():
 
 def test_catalog_contains_required_formulas():
     catalog = enumerate_pp(4, 1, 1, 1)
-    sigs = {tuple(eval_set(f, m) for m in _dedup_test_modules(4)) for f in catalog}
+    sigs = {tuple(eval_set(f, m) for m in dedup_test_modules(4)) for f in catalog}
     for d in (1, 2, 4):
         dv = divisibility_formula(d, 4)
         an = annihilator_formula(d)
-        assert tuple(eval_set(dv, m) for m in _dedup_test_modules(4)) in sigs
-        assert tuple(eval_set(an, m) for m in _dedup_test_modules(4)) in sigs
+        assert tuple(eval_set(dv, m) for m in dedup_test_modules(4)) in sigs
+        assert tuple(eval_set(an, m) for m in dedup_test_modules(4)) in sigs
 
 
 def test_catalog_matches_bruteforce_dedup_count():
     # every 1-row formula with k=1, m <= 1 over Z/4, deduplicated by
     # brute-force evaluation on the same test modules
-    mods = _dedup_test_modules(4)
+    mods = dedup_test_modules(4)
     seen = set()
     for m in (0, 1):
         for entries in product(range(4), repeat=1 + m):
@@ -232,6 +241,66 @@ GOLDEN_CATALOGS = {
 @pytest.mark.parametrize("bounds", sorted(GOLDEN_CATALOGS))
 def test_catalog_matches_golden(bounds):
     assert [format_pp(f) for f in enumerate_pp(*bounds)] == GOLDEN_CATALOGS[bounds]
+
+
+CATALOG_BOUNDS = sorted(
+    {(n, 1, 2, 2) for n in range(2, 11)}
+    | {(4, 2, 1, 1), (6, 2, 1, 1), (8, 1, 2, 1), (9, 1, 1, 2)}
+    | {(n, 2, 1, 1) for n in range(2, 9)}
+    | {(n, 1, 2, 3) for n in range(2, 9)})
+
+
+def bounds_id(bounds):
+    return "-".join(map(str, bounds))
+
+
+@pytest.mark.parametrize("bounds", CATALOG_BOUNDS, ids=bounds_id)
+def test_catalog_matches_reference_enumerator(bounds):
+    catalog = enumerate_pp(*bounds)
+    reference = reference_enumerate_pp(*bounds)
+    assert [format_pp(f) for f in catalog] == [format_pp(f) for f in reference]
+    assert catalog == reference
+
+
+@pytest.mark.parametrize("modulus", range(1, 10))
+def test_row_spans_match_full_scan(modulus):
+    for width in (1, 2, 3):
+        for max_rows in (0, 1, 2):
+            assert (_enumerate_row_spans(modulus, width, max_rows)
+                    == reference_row_spans(modulus, width, max_rows))
+    for width in (1, 2):
+        assert _enumerate_row_spans(modulus, width, 3) == reference_row_spans(modulus, width, 3)
+
+
+def _offered_formulas(monkeypatch, bounds):
+    """Every formula the enumerator offers for ``bounds``, in order."""
+    offered = []
+    signature = ppdef._formula_signature
+
+    def record(formula, modulus):
+        offered.append(formula)
+        return signature(formula, modulus)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ppdef, "_formula_signature", record)
+        enumerate_pp.__wrapped__(*bounds)
+    return offered
+
+
+@pytest.mark.parametrize("bounds", [(4, 1, 2, 2), (6, 1, 2, 2), (8, 1, 2, 2), (9, 1, 2, 2),
+                                    (4, 2, 1, 1), (6, 2, 1, 1), (8, 2, 1, 1), (9, 2, 1, 1)],
+                         ids=bounds_id)
+def test_signature_equivalence_matches_evaluation(monkeypatch, bounds):
+    modulus = bounds[0]
+    offered = _offered_formulas(monkeypatch, bounds)
+    if bounds[1:] == (1, 2, 2):
+        spans = sum(len(reference_row_spans(modulus, 1 + m, 2)) for m in range(3))
+        assert len(offered) == 1 + 2 * len(divisors(modulus)) + spans
+    test_modules = dedup_test_modules(modulus)
+    new = [ppdef._formula_signature(f, modulus) for f in offered]
+    ref = [reference_signature(f, test_modules) for f in offered]
+    # equal new signatures exactly when equal reference signatures
+    assert len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
 
 
 def test_format_parse_roundtrip():

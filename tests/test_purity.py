@@ -25,7 +25,11 @@ from zpure.purity import (
     fp_catalog,
     purity_report,
 )
+from zpure import purity
 from zpure.funcat import eval_fp_functor
+from zpure.ppdef import enumerate_pp
+
+from helpers import inverse
 
 
 def Z(n, *invs):
@@ -150,8 +154,8 @@ def test_isomorphism_invariance():
         a_l = random_automorphism(seq.left, rng)
         a_m = random_automorphism(seq.middle, rng)
         a_n = random_automorphism(seq.right, rng)
-        f2 = a_m @ seq.f @ a_l.inverse()
-        g2 = a_n @ seq.g @ a_m.inverse()
+        f2 = a_m @ seq.f @ inverse(a_l)
+        g2 = a_n @ seq.g @ inverse(a_m)
         seq2 = ShortSequence.from_maps(f2, g2)
         assert purity_report(seq2).verdicts == purity_report(seq).verdicts
 
@@ -181,6 +185,20 @@ def test_harness_jobs_do_not_change_output():
     s1 = equivalence_harness(4, trials=24, seed=3, jobs=1)
     s2 = equivalence_harness(4, trials=24, seed=3, jobs=2)
     assert s1 == s2
+
+
+def test_harness_builds_catalogs_before_forking():
+    # catalogs built by the parent are in its own caches; a build that
+    # happened only inside pool workers would leave them empty here
+    enumerate_pp.cache_clear()
+    purity._FP_CATALOGS.pop((8, 2), None)
+    pooled = equivalence_harness(8, 6, seed=1, jobs=2)
+    before = enumerate_pp.cache_info()
+    enumerate_pp(8, 1, 2, 2)
+    after = enumerate_pp.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert (8, 2) in purity._FP_CATALOGS
+    assert equivalence_harness(8, 6, seed=1, jobs=1) == pooled
 
 
 def test_harness_single_split_trial():

@@ -7,6 +7,7 @@ import pytest
 from zpure.zmodlin import (
     IntMatrix,
     column_echelon,
+    hermite_extend,
     hermite_key,
     hermite_reduce,
     kernel_mod,
@@ -195,6 +196,16 @@ def test_hermite_key_matches_reference(N):
         key = hermite_key(vs, (N,) * w)
         assert key == reference_hermite_key(vs, N, w), (vs, N)
         assert all(0 <= v <= N for row in key for v in row)
+
+
+def test_hermite_extend_adds_one_vector():
+    rng = random.Random("extend")
+    for _ in range(300):
+        orders = _random_ambient(rng)
+        vs = [tuple(rng.randint(-12, 12) for _ in orders) for _ in range(rng.randint(0, 3))]
+        vec = tuple(rng.randint(-12, 12) for _ in orders)
+        assert hermite_extend(hermite_key(vs, orders), vec, orders) == \
+            hermite_key(vs + [vec], orders), (vs, vec, orders)
 
 
 def test_hermite_key_rejects_order_zero():
