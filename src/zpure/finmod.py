@@ -326,8 +326,7 @@ class Subgroup:
             raise InputError("ambient module does not match subgroup coordinates")
         q = self.module.ngens
         cols = [self.element(self.module.generator(i)) for i in range(q)]
-        mat = IntMatrix(ambient.ngens, q,
-                        tuple(tuple(cols[j][i] for j in range(q)) for i in range(ambient.ngens)))
+        mat = IntMatrix.from_columns(cols, ambient.ngens)
         return ModuleMap(self.module, ambient, mat)
 
 
@@ -542,9 +541,7 @@ def evaluation_map(module: CanonicalModule) -> ModuleMap:
                 raise InternalCheckError("evaluation character not in torsion carrier")
             coords.append((w // step) % d2.original.invariants[p])
         cols.append(coords)
-    mat = IntMatrix(d2.module.ngens, module.ngens,
-                    tuple(tuple(cols[j][i] for j in range(module.ngens))
-                          for i in range(d2.module.ngens)))
+    mat = IntMatrix.from_columns(cols, d2.module.ngens)
     return ModuleMap(module, d2.module, mat)
 
 
@@ -755,9 +752,7 @@ def random_ses(modulus: int, seed, max_gens: int = 3) -> ShortSequence:
     img = q.image()
     right = img.module
     cols = [img.coords(q.matrix.col(j)) for j in range(middle.ngens)]
-    g_mat = IntMatrix(right.ngens, middle.ngens,
-                      tuple(tuple(cols[j][i] for j in range(middle.ngens))
-                            for i in range(right.ngens)))
+    g_mat = IntMatrix.from_columns(cols, right.ngens)
     g = ModuleMap(middle, right, g_mat)
     ker = g.kernel()
     left = ker.module

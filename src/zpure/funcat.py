@@ -8,10 +8,15 @@ describes all of D.  Every finite Z/N-module is a direct sum of the cyclic
 ones, so additive functors on D determine additive functors on all finite
 modules; this is what makes the index finite.
 
+``build_index_category`` builds D once per modulus: its coefficient table is
+computed once and checked for associativity once.
+
 An additive functor is stored by its values (canonical modules; D is
 Z/N-linear, so values are automatically Z/N-modules) and by its action on
-each canonical generator.  Functoriality, identities, and hom-group torsion
-are verified at construction.
+each canonical generator.  Identities, types, hom-group torsion and the
+composition table are verified at construction, on the actions' integer
+matrices.  Natural transformations solve one congruence system with the
+modular Hermite kernel ``zmodlin.hermite_kernel``, whose entries never exceed N.
 """
 
 from __future__ import annotations
@@ -40,16 +45,35 @@ from .finmod import (
     tensor_modules,
     tensor_pair_map,
 )
-from .zmodlin import IntMatrix, Vec, kernel_mod
+from .zmodlin import IntMatrix, Vec, hermite_kernel
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
 
 
+def _coefficient(d: int, e: int, f: int) -> int:
+    if f == 1:
+        return 0
+    composite = ((e // gcd(d, e)) * (f // gcd(e, f))) % f
+    gdf = gcd(d, f)
+    gen = f // gdf
+    if composite % gen:
+        raise InternalCheckError("composite not a multiple of the canonical generator")
+    return (composite // gen) % gdf
+
+
 @dataclass(frozen=True)
 class IndexCategoryD:
+    """Equal and hashed by (modulus, objects); comp_coeff reads a table built once."""
+
     modulus: int
     objects: tuple[int, ...]
+    _coeffs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        objs = self.objects
+        object.__setattr__(self, "_coeffs", {(d, e, f): _coefficient(d, e, f)
+                                             for d in objs for e in objs for f in objs})
 
     def index_of(self, d: int) -> int:
         try:
@@ -75,16 +99,10 @@ class IndexCategoryD:
 
     def comp_coeff(self, d: int, e: int, f: int) -> int:
         """Coefficient c with g_{e,f} o g_{d,e} == c * g_{d,f} (c mod gcd(d, f))."""
-        if f == 1:
-            return 0
-        composite = (self.gen_image(d, e) * self.gen_image(e, f)) % f
-        gdf = gcd(d, f)
-        gen = f // gdf
-        if composite % gen:
-            raise InternalCheckError("composite not a multiple of the canonical generator")
-        return (composite // gen) % gdf
+        return self._coeffs[d, e, f]
 
 
+@lru_cache(maxsize=16)
 def build_index_category(modulus: int) -> IndexCategoryD:
     if modulus < 1:
         raise InputError("modulus must be >= 1")
@@ -136,31 +154,43 @@ class FunctorOnD:
         return self.variance == COVARIANT
 
     def _validate(self):
-        cat = self.category
-        for d in cat.objects:
-            if self.action(d, d) != ModuleMap.identity(self.value(d)):
+        """Identities, types, hom-group torsion and the composition table, on
+        the actions' normalised matrices (composites of well-defined maps are
+        well defined, so no ModuleMap is built per triple)."""
+        cat, cov = self.category, self.is_covariant()
+        objs, n = cat.objects, len(cat.objects)
+        for i, act in enumerate(self.actions[::n + 1]):
+            v = self.values[i]
+            if (act.domain != v or act.codomain != v
+                    or act.matrix != IntMatrix.identity(v.ngens)):
                 raise InputError("functor does not send identity generators to identities")
-        for d in cat.objects:
-            for e in cat.objects:
-                act = self.action(d, e)
-                if self.is_covariant():
-                    ok = act.domain == self.value(d) and act.codomain == self.value(e)
-                else:
-                    ok = act.domain == self.value(e) and act.codomain == self.value(d)
-                if not ok:
+        for i, d in enumerate(objs):
+            for j, e in enumerate(objs):
+                act = self.actions[i * n + j]
+                src, dst = (self.values[i], self.values[j]) if cov else \
+                    (self.values[j], self.values[i])
+                if act.domain != src or act.codomain != dst:
                     raise InputError("action has the wrong type for the variance")
-                if not act.scale(cat.hom_order(d, e)).is_zero_map():
+                h = cat.hom_order(d, e)
+                if any((h * v) % m for row, m in zip(act.matrix.entries, dst.invariants)
+                       for v in row):
                     raise InputError("action violates hom-group torsion")
-        for d in cat.objects:
-            for e in cat.objects:
-                for f in cat.objects:
+        rows = [a.matrix.entries for a in self.actions]
+        cols = [a.matrix.transpose().entries for a in self.actions]
+        for i, d in enumerate(objs):
+            for j, e in enumerate(objs):
+                for k, f in enumerate(objs):
+                    target = rows[i * n + k]
+                    if not target or not target[0]:
+                        continue  # a map from or to zero
                     c = cat.comp_coeff(d, e, f)
-                    if self.is_covariant():
-                        lhs = self.action(e, f) @ self.action(d, e)
-                    else:
-                        lhs = self.action(d, e) @ self.action(e, f)
-                    if lhs != self.action(d, f).scale(c):
-                        raise InputError("functor violates the composition table")
+                    outer, inner = (rows[j * n + k], cols[i * n + j]) if cov else \
+                        (rows[i * n + j], cols[j * n + k])
+                    mods = self.values[k if cov else i].invariants
+                    for row, trow, m in zip(outer, target, mods):
+                        for col, t in zip(inner, trow):
+                            if (sum(a * b for a, b in zip(row, col)) - c * t) % m:
+                                raise InputError("functor violates the composition table")
 
 
 def functor_from_values(cat: IndexCategoryD, variance: str,
@@ -181,9 +211,7 @@ def postcompose(v: ModuleMap, source: CanonicalModule) -> ModuleMap:
     hdst = hom_module(source, v.codomain)
     cols = [hdst.from_map(v @ hsrc.to_map(hsrc.module.generator(i)))
             for i in range(hsrc.module.ngens)]
-    mat = IntMatrix(hdst.module.ngens, hsrc.module.ngens,
-                    tuple(tuple(cols[j][i] for j in range(hsrc.module.ngens))
-                          for i in range(hdst.module.ngens)))
+    mat = IntMatrix.from_columns(cols, hdst.module.ngens)
     return ModuleMap(hsrc.module, hdst.module, mat)
 
 
@@ -193,9 +221,7 @@ def precompose(u: ModuleMap, target: CanonicalModule) -> ModuleMap:
     hdst = hom_module(u.domain, target)
     cols = [hdst.from_map(hsrc.to_map(hsrc.module.generator(i)) @ u)
             for i in range(hsrc.module.ngens)]
-    mat = IntMatrix(hdst.module.ngens, hsrc.module.ngens,
-                    tuple(tuple(cols[j][i] for j in range(hsrc.module.ngens))
-                          for i in range(hdst.module.ngens)))
+    mat = IntMatrix.from_columns(cols, hdst.module.ngens)
     return ModuleMap(hsrc.module, hdst.module, mat)
 
 
@@ -203,7 +229,7 @@ def precompose(u: ModuleMap, target: CanonicalModule) -> ModuleMap:
 # Representables and module-induced functors
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def representable_cov(cat: IndexCategoryD, a: int) -> FunctorOnD:
     """The covariant representable D(a, -): d -> Hom(Z/a, Z/d)."""
     cat.index_of(a)
@@ -220,7 +246,7 @@ def representable_cov(cat: IndexCategoryD, a: int) -> FunctorOnD:
     return functor_from_values(cat, COVARIANT, value_of, action_of)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def restrict_module(cat: IndexCategoryD, c: CanonicalModule) -> FunctorOnD:
     """The contravariant functor d -> Hom(Z/d, c) restricted to D."""
     if c.modulus != cat.modulus:
@@ -236,7 +262,7 @@ def restrict_module(cat: IndexCategoryD, c: CanonicalModule) -> FunctorOnD:
     return functor_from_values(cat, CONTRAVARIANT, value_of, action_of)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def tensor_functor(cat: IndexCategoryD, y: CanonicalModule) -> FunctorOnD:
     """The covariant functor d -> y (x) Z/d."""
     if y.modulus != cat.modulus:
@@ -274,7 +300,7 @@ class FpValue:
     hom: HomModule       # realization of the hom group being quotiented
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def fp_value(u: ModuleMap, c: CanonicalModule, variance: str = COVARIANT) -> FpValue:
     """coker(Hom(a, c) -> Hom(b, c)) for u: b -> a (covariant), or
     coker(Hom(c, b) -> Hom(c, a)) (contravariant)."""
@@ -306,9 +332,7 @@ def fp_induced(u: ModuleMap, f: ModuleMap, variance: str = COVARIANT) -> ModuleM
         rep = src.hom.to_map(src.lift.col(i))
         moved = (f @ rep) if variance == COVARIANT else (rep @ f)
         cols.append(dst.proj.apply(dst.hom.from_map(moved)))
-    mat = IntMatrix(dst.module.ngens, src.module.ngens,
-                    tuple(tuple(cols[j][i] for j in range(src.module.ngens))
-                          for i in range(dst.module.ngens)))
+    mat = IntMatrix.from_columns(cols, dst.module.ngens)
     return ModuleMap(src.module, dst.module, mat)
 
 
@@ -486,7 +510,10 @@ class NatModule:
 
 def nat_transformations(F: FunctorOnD, H: FunctorOnD) -> NatModule:
     """All families (alpha_d) commuting with every generator action, found by
-    solving one linear congruence system over the hom-group coordinates."""
+    solving one linear congruence system over the hom-group coordinates.
+
+    Its entries stay at most lcm(moduli) | N; only counts and bijectivity of
+    Nat reach the output, so, unlike ModuleMap.kernel's, their order is free."""
     if F.category != H.category or F.variance != H.variance:
         raise InputError("natural transformations need same category and variance")
     cat = F.category
@@ -536,11 +563,7 @@ def nat_transformations(F: FunctorOnD, H: FunctorOnD) -> NatModule:
                     if nonzero:
                         rows.append(row)
                         moduli.append(cod_val.invariants[r])
-    if rows:
-        system = IntMatrix.from_rows(rows, cols=total)
-        gens = kernel_mod(system, moduli)
-    else:
-        gens = [tuple(1 if i == j else 0 for j in range(total)) for i in range(total)]
+    gens = hermite_kernel(rows, moduli, total)
     sub = Subgroup(tuple(orders), cat.modulus, tuple(gens))
     return NatModule(F, H, sub.module, sub, homs, tuple(offsets))
 
@@ -583,9 +606,7 @@ def hom_tensor_duality_map(G: FunctorOnD, F: FunctorOnD) -> tuple[ModuleMap, Nat
                 rows.append(tuple(row))
             fams.append(ModuleMap(fd, dual_gd, IntMatrix(gd.ngens, fd.ngens, tuple(rows))))
         cols.append(nat.from_family(fams))
-    mat = IntMatrix(nat.module.ngens, c_star.module.ngens,
-                    tuple(tuple(cols[j][i] for j in range(c_star.module.ngens))
-                          for i in range(nat.module.ngens)))
+    mat = IntMatrix.from_columns(cols, nat.module.ngens)
     return ModuleMap(c_star.module, nat.module, mat), nat
 
 
@@ -622,9 +643,7 @@ def dual_of_hom_check(x: CanonicalModule, cat: IndexCategoryD) -> bool:
                     raise InternalCheckError("dual-of-hom character escapes the carrier")
                 mu.append((val // step) % h.module.invariants[w])
             cols.append(mu)
-        mat = IntMatrix(hd.module.ngens, t.module.ngens,
-                        tuple(tuple(cols[j][i] for j in range(t.module.ngens))
-                              for i in range(hd.module.ngens)))
+        mat = IntMatrix.from_columns(cols, hd.module.ngens)
         themap = ModuleMap(t.module, hd.module, mat)
         if not themap.is_bijective():
             return False

@@ -184,9 +184,7 @@ def induced_pp_map(pair: PpPair, f: ModuleMap,
             for t in range(s_cod):
                 image[j * s_cod + t] = yj[t]
         cols.append(dst.express(image))
-    mat = IntMatrix(dst.module.ngens, src.module.ngens,
-                    tuple(tuple(cols[j][i] for j in range(src.module.ngens))
-                          for i in range(dst.module.ngens)))
+    mat = IntMatrix.from_columns(cols, dst.module.ngens)
     return ModuleMap(src.module, dst.module, mat)
 
 

@@ -19,6 +19,7 @@ domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -68,6 +69,10 @@ class IntMatrix:
         if cols is None:
             cols = len(grid[0]) if grid else 0
         return cls(len(grid), cols, grid)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
+        return cls(rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -386,6 +391,22 @@ def _hermite_normalize(basis: list[list[int]]) -> tuple[Vec, ...]:
                 for k in range(j, w):
                     other[k] -= q * row[k]
     return tuple(tuple(r) for r in basis)
+
+
+def hermite_kernel(rows: Sequence[Sequence[int]], moduli: Sequence[int],
+                   width: int) -> list[Vec]:
+    """Generators of {x in Z^width : rows*x == 0 componentwise mod moduli},
+    with entries in [0, L), L = lcm(moduli), except the generators L*e_j.
+
+    The columns (column j of rows ; e_j) and the orders span a lattice whose
+    vectors with zero head are the (0 ; x) for solutions x, because L*Z^width
+    solves the system; its Hermite rows from len(moduli) on span them.
+    """
+    r = len(moduli)
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(width)]
+            for j in range(width)]
+    key = hermite_key(cols, list(moduli) + [lcm(*moduli)] * width)
+    return [row[r:] for row in key[r:]]
 
 
 def hermite_reduce(vec: Sequence[int], key: Sequence[Sequence[int]]) -> Vec:

@@ -2,9 +2,9 @@
 
 Everything here enumerates residue vectors or uses textbook formulas
 directly; nothing calls back into the solver/SNF code it cross-checks.  The
-one exception is the reference pp catalog at the end, which keeps the
-catalog's first construction as the regression reference for the current
-one.
+exceptions are the reference pp catalog and the reference functor-law
+validator at the end, which keep first constructions as the regression
+references for the current ones.
 """
 
 from fractions import Fraction
@@ -298,3 +298,65 @@ def reference_enumerate_pp(modulus, free_vars=1, max_bound=2, max_rows=2):
 def reference_divisors(n):
     """Divisors of n in ascending order, by testing every candidate."""
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# ---------------------------------------------------------------------------
+# The functor-category checks as first written: the composition coefficient
+# from its formula, and the functor laws checked by building and comparing
+# validated module maps.  They are the references for the coefficient table
+# of ``zpure.funcat.IndexCategoryD`` and the integer-table validator of
+# ``zpure.funcat.FunctorOnD``.
+
+
+def reference_comp_coeff(d, e, f):
+    """Coefficient c with g_{e,f} o g_{d,e} == c * g_{d,f} (c mod gcd(d, f)),
+    where g_{d,e}: Z/d -> Z/e sends 1 to e / gcd(d, e)."""
+    if f == 1:
+        return 0
+    composite = ((e // gcd(d, e)) * (f // gcd(e, f))) % f
+    gdf = gcd(d, f)
+    gen = f // gdf
+    assert composite % gen == 0
+    return (composite // gen) % gdf
+
+
+def reference_validate_functor(cat, variance, values, actions):
+    """Raise ``InputError`` with the validator's message when the data break
+    a functor law; the rules run in the order of ``FunctorOnD._validate``."""
+    from zpure.errors import InputError
+    from zpure.finmod import ModuleMap
+
+    objs = cat.objects
+    n = len(objs)
+    covariant = variance == "covariant"
+
+    def value(d):
+        return values[objs.index(d)]
+
+    def action(d, e):
+        return actions[objs.index(d) * n + objs.index(e)]
+
+    for d in objs:
+        if action(d, d) != ModuleMap.identity(value(d)):
+            raise InputError("functor does not send identity generators to identities")
+    for d in objs:
+        for e in objs:
+            act = action(d, e)
+            if covariant:
+                ok = act.domain == value(d) and act.codomain == value(e)
+            else:
+                ok = act.domain == value(e) and act.codomain == value(d)
+            if not ok:
+                raise InputError("action has the wrong type for the variance")
+            if not act.scale(gcd(d, e)).is_zero_map():
+                raise InputError("action violates hom-group torsion")
+    for d in objs:
+        for e in objs:
+            for f in objs:
+                c = reference_comp_coeff(d, e, f)
+                if covariant:
+                    lhs = action(e, f) @ action(d, e)
+                else:
+                    lhs = action(d, e) @ action(e, f)
+                if lhs != action(d, f).scale(c):
+                    raise InputError("functor violates the composition table")

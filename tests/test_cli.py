@@ -91,6 +91,24 @@ def test_check_large_non_surjective_exits_quickly(tmp_path):
     assert "g is not surjective" in proc.stderr
 
 
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "data" / "golden_check_reports.json"
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_check_matches_golden_report(run_cli, tmp_path, index):
+    # the hom_lifting witness follows the generator order of ModuleMap.kernel
+    # (kernel_mod), so a change of that order shows here
+    case = json.loads(GOLDEN_REPORTS.read_text())[index]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(case["document"]))
+    code, out, _ = run_cli("check", str(path), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["witnesses"]["hom_lifting"]["target"] == [1, 0, 0]
+    expected = dict(case["report"], version=report["version"])
+    assert report == expected
+
+
 def test_check_rejects_ill_defined_map(run_cli, tmp_path):
     bad = {"modulus": 4, "L": [2], "M": [4], "N": [2], "f": [[1]], "g": [[1]]}
     path = tmp_path / "bad.json"

@@ -1,15 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from math import lcm
+from pathlib import Path
 
 import pytest
 
 from zpure.errors import InputError
+from zpure import funcat
 from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
+    Subgroup,
     direct_sum,
     dual_module,
     hom_module,
+    random_hom,
     random_module,
     tensor_modules,
 )
@@ -17,6 +25,7 @@ from zpure.funcat import (
     CONTRAVARIANT,
     COVARIANT,
     FunctorOnD,
+    IndexCategoryD,
     build_index_category,
     coend_tensor,
     dual_functor,
@@ -38,7 +47,9 @@ from zpure.funcat import (
 )
 
 from helpers import coend_map_left, coend_map_right, direct_sum_functors, zero_functor
-from oracles import all_homs
+from zpure.zmodlin import IntMatrix, hermite_kernel, kernel_mod
+
+from oracles import all_homs, reference_comp_coeff, reference_validate_functor
 
 
 def Z(n, *invs):
@@ -408,3 +419,174 @@ def test_fp_induced_functorial():
     g = random_hom(c2, c3, rng)
     assert fp_induced(u, g @ f) == fp_induced(u, g) @ fp_induced(u, f)
     assert fp_induced(u, ModuleMap.identity(c1)) == ModuleMap.identity(eval_fp_functor(u, c1))
+
+
+def test_index_category_built_once_per_modulus():
+    assert build_index_category(24) is build_index_category(24)
+    fresh = IndexCategoryD(24, build_index_category(24).objects)
+    assert fresh == build_index_category(24)
+    assert hash(fresh) == hash(build_index_category(24))
+
+
+def test_comp_coeff_table_matches_formula():
+    for n in range(1, 61):
+        cat = build_index_category(n)
+        for d in cat.objects:
+            for e in cat.objects:
+                for f in cat.objects:
+                    assert cat.comp_coeff(d, e, f) == reference_comp_coeff(d, e, f), (n, d, e, f)
+
+
+def sample_functors(cat, rng):
+    """Random, contravariant, representable, restricted, tensor and dual
+    functors on cat, in rotation."""
+    kinds = [
+        lambda: random_functor(cat, rng),
+        lambda: random_contra_functor(cat, rng),
+        lambda: representable_cov(cat, rng.choice(cat.objects)),
+        lambda: restrict_module(cat, random_module(cat.modulus, rng, 2)),
+        lambda: tensor_functor(cat, random_module(cat.modulus, rng, 2)),
+        lambda: dual_functor(random_functor(cat, rng)),
+    ]
+    while True:
+        for kind in kinds:
+            yield kind()
+
+
+def validation_outcome(validate, cat, variance, values, actions):
+    try:
+        validate(cat, variance, values, actions)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def table_validate(cat, variance, values, actions):
+    FunctorOnD(cat, variance, values, actions)
+
+
+def test_table_validator_accepts_what_the_reference_accepts():
+    count = 0
+    for n, k in ((6, 60), (8, 60), (12, 50), (24, 36)):
+        cat = build_index_category(n)
+        gen = sample_functors(cat, random.Random(f"validate:{n}"))
+        for _ in range(k):
+            F = next(gen)
+            data = (cat, F.variance, F.values, F.actions)
+            assert validation_outcome(reference_validate_functor, *data) is None
+            assert validation_outcome(table_validate, *data) is None
+            count += 1
+    assert count >= 200
+
+
+def test_table_validator_rejects_like_the_reference():
+    z2, z4, zero = Z(4, 2), Z(4, 4), Z(4)
+    rep = representable_cov(CAT4, 4)  # values 0, Z/2, Z/4
+    i2, i4 = CAT4.index_of(2), CAT4.index_of(4)
+    not_identity = list(rep.actions)
+    not_identity[i4 * 3 + i4] = ModuleMap.from_rows(z4, z4, [[3]])
+    wrong_type = list(rep.actions)
+    wrong_type[i2 * 3 + i4] = ModuleMap.zero(z4, z4)
+    not_composing = list(rep.actions)
+    not_composing[i2 * 3 + i4] = ModuleMap.zero(z2, z4)
+    # Z/4 at the object 2 with identity actions: 2 does not kill it
+    big = (zero, z4, z4)
+    torsion = [ModuleMap.identity(big[i]) if i == j else ModuleMap.zero(big[i], big[j])
+               for i in range(3) for j in range(3)]
+    # D(6, -) with 0 at the object 3: g_{3,6} o g_{6,3} = 2 * id_6 now
+    # factors through 0, but 2 does not kill F(6) = Z/6
+    cat6 = build_index_category(6)
+    rep6 = representable_cov(cat6, 6)
+    i3 = cat6.index_of(3)
+    vals6 = tuple(Z(6) if i == i3 else v for i, v in enumerate(rep6.values))
+    acts6 = tuple(ModuleMap.zero(vals6[i], vals6[j]) if i3 in (i, j) else rep6.actions[i * 4 + j]
+                  for i in range(4) for j in range(4))
+    cases = [
+        (COVARIANT, rep.values, not_identity,
+         "functor does not send identity generators to identities"),
+        (COVARIANT, rep.values, wrong_type, "action has the wrong type for the variance"),
+        (CONTRAVARIANT, rep.values, rep.actions, "action has the wrong type for the variance"),
+        (COVARIANT, big, torsion, "action violates hom-group torsion"),
+        (COVARIANT, rep.values, not_composing, "functor violates the composition table"),
+    ]
+    cases = [(CAT4,) + case for case in cases]
+    cases.append((cat6, COVARIANT, vals6, acts6, "functor violates the composition table"))
+    for cat, variance, values, actions, message in cases:
+        data = (cat, variance, tuple(values), tuple(actions))
+        assert validation_outcome(reference_validate_functor, *data) == message
+        assert validation_outcome(table_validate, *data) == message
+
+
+def test_table_validator_agrees_on_random_mutations():
+    rng = random.Random("mutate")
+    outcomes = set()
+    for n in (6, 8, 12):
+        cat = build_index_category(n)
+        nobj = len(cat.objects)
+        gen = sample_functors(cat, rng)
+        for _ in range(24):
+            F = next(gen)
+            actions = list(F.actions)
+            idx = rng.randrange(len(actions))
+            act = actions[idx]
+            if rng.random() < 0.5 or idx % (nobj + 1) == 0:
+                actions[idx] = random_hom(act.domain, act.codomain, rng)
+            else:
+                actions[idx] = act.scale(rng.randrange(2, n))
+            data = (cat, F.variance, F.values, tuple(actions))
+            expected = validation_outcome(reference_validate_functor, *data)
+            assert validation_outcome(table_validate, *data) == expected
+            outcomes.add(expected)
+    assert len(outcomes) >= 3  # accepted, identity and composition failures
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_nat_solutions_match_kernel_mod(n, monkeypatch):
+    systems = []
+
+    def spy(rows, moduli, width):
+        gens = hermite_kernel(rows, moduli, width)
+        systems.append((rows, moduli, width, gens))
+        return gens
+
+    monkeypatch.setattr(funcat, "hermite_kernel", spy)
+    cat = build_index_category(n)
+    rng = random.Random(f"natkernel:{n}")
+    for i in range(8):
+        if i % 2:
+            F, H = random_contra_functor(cat, rng), random_contra_functor(cat, rng)
+        else:
+            F, H = random_functor(cat, rng), random_functor(cat, rng)
+        nat = nat_transformations(F, H)
+        rows, moduli, total, gens = systems[-1]
+        big = lcm(*moduli)
+        assert all(0 <= v < big for g in gens if big not in g for v in g)
+        assert all(sorted(g) == [0] * (total - 1) + [big] for g in gens if big in g)
+        reference = kernel_mod(IntMatrix.from_rows(rows, cols=total), moduli)
+        orders = nat.subgroup.ambient_orders
+        assert nat.subgroup.key == Subgroup(orders, n, tuple(reference)).key
+
+
+def test_nat_system_that_hung_finishes():
+    # kernel_mod's Smith reduction spent 27 s and over 40 s on these two
+    # Nat systems at N=24, as its entries grew; hermite_kernel's stay <= N
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("from zpure.suites import suite_fully_faithful\n"
+            "for seed in ('7:4', '7:71'):\n"
+            "    r = suite_fully_faithful(24, 1, seed)\n"
+            "    print(r.passed, r.total)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "2", "2", "2"]
+
+
+def test_every_funcat_cache_is_bounded():
+    caches = {name: fn for name, fn in vars(funcat).items()
+              if hasattr(fn, "cache_parameters") and fn.__module__ == funcat.__name__}
+    assert {"build_index_category", "representable_cov", "restrict_module",
+            "tensor_functor", "fp_value"} <= set(caches)
+    for name, fn in caches.items():
+        assert fn.cache_parameters()["maxsize"] is not None, name

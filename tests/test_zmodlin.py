@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -8,6 +8,7 @@ from zpure.zmodlin import (
     IntMatrix,
     column_echelon,
     hermite_extend,
+    hermite_kernel,
     hermite_key,
     hermite_reduce,
     kernel_mod,
@@ -150,6 +151,31 @@ def test_kernel_with_mixed_moduli_against_enumeration(seed):
     got = span_mod(gens, tuple([N] * k))
     expected = enumerate_solutions(rows, [0] * r, moduli, N)
     assert got == frozenset(expected)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hermite_kernel_against_enumeration(seed):
+    rng = random.Random(f"hkernel:{seed}")
+    r = rng.randint(1, 3)
+    k = rng.randint(1, 3)
+    moduli = [rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(r)]
+    N = 12
+    rows = [[rng.randrange(-N, N) for _ in range(k)] for _ in range(r)]
+    gens = hermite_kernel(rows, moduli, k)
+    big = lcm(*moduli)
+    assert all(0 <= v < big for g in gens if big not in g for v in g)
+    assert all(sorted(g) == [0] * (k - 1) + [big] for g in gens if big in g)
+    got = span_mod(gens, tuple([N] * k))
+    assert got == frozenset(enumerate_solutions(rows, [0] * r, moduli, N))
+    # the same subgroup as the Smith-form kernel
+    A = IntMatrix.from_rows(rows, cols=k)
+    assert got == span_mod(kernel_mod(A, moduli), tuple([N] * k))
+
+
+def test_hermite_kernel_of_no_conditions_is_everything():
+    assert hermite_kernel([], [], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert hermite_kernel([[0, 0]], [1], 2) == [(1, 0), (0, 1)]
+    assert hermite_kernel([], [], 0) == []
 
 
 def test_solve_mod_many_componentwise():
