@@ -23,14 +23,14 @@ from typing import Iterator, Optional, Sequence
 from .errors import InputError, InternalCheckError
 from .zmodlin import (
     IntMatrix,
-    ModSolver,
     Vec,
     column_echelon,
     hermite_key,
     hermite_reduce,
+    hermite_solve,
+    hermite_system,
     kernel_mod,
     snf_left_transforms,
-    solve_mod_many,
 )
 
 
@@ -268,8 +268,9 @@ class Subgroup:
         return IntMatrix(n, r, tuple(tuple(self.gens[t][i] for t in range(r)) for i in range(n)))
 
     @cached_property
-    def _solver(self) -> ModSolver:
-        return ModSolver(self._gen_matrix.entries, len(self.gens), self.ambient_orders)
+    def _system(self) -> tuple[Vec, ...]:
+        """Hermite key of gens*c == x (mod ambient_orders), for ``coords``."""
+        return hermite_system(self._gen_matrix.entries, self.ambient_orders, len(self.gens))
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -277,7 +278,7 @@ class Subgroup:
         if r == 0:
             return Presentation(CanonicalModule.zero(self.modulus),
                                 IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
-        relations = self._solver.kernel_gens()
+        relations = kernel_mod(self._gen_matrix, self.ambient_orders)
         rel = IntMatrix(r, len(relations),
                         tuple(tuple(c[i] for c in relations) for i in range(r)))
         return normalize_presentation(rel, self.modulus)
@@ -304,7 +305,7 @@ class Subgroup:
             if not self.contains(x):
                 raise InputError("element not in subgroup")
             return ()
-        sol = self._solver.particular(x)
+        sol = hermite_solve(self._system, x, self.ambient_orders)
         if sol is None:
             raise InputError("element not in subgroup")
         return self.module.reduce(self.presentation.project.apply(sol))
@@ -617,11 +618,9 @@ def splitting_section(seq: ShortSequence) -> Optional[ModuleMap]:
             rows.append(row)
             rhs.append(1 if k == j else 0)
             moduli.append(n_inv[k])
-    system = IntMatrix.from_rows(rows, cols=len(unknowns))
-    sol = solve_mod_many(system, rhs, moduli)
-    if sol is None:
+    c = hermite_solve(hermite_system(rows, moduli, len(unknowns)), rhs, moduli)
+    if c is None:
         return None
-    c = sol[0]
     mat_rows = [[0] * n_n for _ in range(n_m)]
     for idx, (i, j) in enumerate(unknowns):
         mat_rows[i][j] = c[idx] * steps[(i, j)]

@@ -10,6 +10,14 @@ kernel: ``hermite_key`` gives the Hermite normal form of a subgroup of
 prod Z/o_i, reducing entries modulo the orders o_i as it eliminates, and
 ``hermite_reduce`` gives the unique representative of a coset.  Subgroup
 orders, membership tests and the pp catalog's deduplication all use them.
+So does solving: ``hermite_system`` is the key of a system A*x == b
+(mod moduli), from which ``hermite_solve`` reads one solution and
+``hermite_kernel`` the homogeneous ones, with entries below lcm(moduli).
+
+The Smith form (``_snf_core``) stays only where its transforms choose a
+basis that the output shows: the generators of ``kernel_mod`` and the
+``project``/``lift`` matrices of ``finmod.normalize_presentation``.  Both
+shrink their input with ``column_echelon`` first.
 
 Matrix convention (fixed package-wide): a matrix represents a map acting on
 coordinate *columns*, rows are indexed by the codomain and columns by the
@@ -124,27 +132,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.tolists()!r})"
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form S = U * A * V with unimodular U, V.
-
-    The diagonal of S is nonnegative and forms a divisibility chain
-    s_1 | s_2 | ... ; ``u_inv`` is the exact inverse of U, tracked during
-    the reduction so change-of-basis data never needs a separate inversion.
-    """
-
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-    u_inv: IntMatrix
-
-    def diagonal(self) -> list[int]:
-        return [self.S.entries[i][i] for i in range(min(self.S.rows, self.S.cols))]
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _snf_core(S: list[list[int]], m: int, n: int,
@@ -264,19 +251,6 @@ def _snf_core(S: list[list[int]], m: int, n: int,
     return U, Uinv, V
 
 
-def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form with all transforms; see SnfResult for invariants."""
-    m, n = A.rows, A.cols
-    S = [list(row) for row in A.entries]
-    U, Uinv, V = _snf_core(S, m, n, True, True, True)
-    return SnfResult(
-        U=IntMatrix.from_rows(U, cols=m),
-        S=IntMatrix.from_rows(S, cols=n),
-        V=IntMatrix.from_rows(V, cols=n),
-        u_inv=IntMatrix.from_rows(Uinv, cols=m),
-    )
-
-
 def snf_left_transforms(rows: Sequence[Sequence[int]], m: int, n: int):
     """(U, U_inverse, diagonal) with U*A*V = S; V is not tracked."""
     S = [list(r) for r in rows]
@@ -393,20 +367,46 @@ def _hermite_normalize(basis: list[list[int]]) -> tuple[Vec, ...]:
     return tuple(tuple(r) for r in basis)
 
 
+def hermite_system(rows: Sequence[Sequence[int]], moduli: Sequence[int],
+                   width: int) -> tuple[Vec, ...]:
+    """Key of the system rows*x == b componentwise mod ``moduli``.
+
+    It is ``hermite_key`` of the columns (column j of rows ; e_j) with orders
+    moduli + [L] * width, L = lcm(moduli).  Its lattice holds (b ; y) exactly
+    when y == x (mod L) for a solution x of rows*x == b, because L*Z^width
+    solves the homogeneous system, and no entry exceeds L.
+    """
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(width)]
+            for j in range(width)]
+    return hermite_key(cols, list(moduli) + [lcm(*moduli)] * width)
+
+
 def hermite_kernel(rows: Sequence[Sequence[int]], moduli: Sequence[int],
                    width: int) -> list[Vec]:
     """Generators of {x in Z^width : rows*x == 0 componentwise mod moduli},
     with entries in [0, L), L = lcm(moduli), except the generators L*e_j.
 
-    The columns (column j of rows ; e_j) and the orders span a lattice whose
-    vectors with zero head are the (0 ; x) for solutions x, because L*Z^width
-    solves the system; its Hermite rows from len(moduli) on span them.
+    The vectors of the ``hermite_system`` lattice with zero head are the
+    (0 ; x) for solutions x; its rows from len(moduli) on span them.
     """
     r = len(moduli)
-    cols = [[row[j] for row in rows] + [int(i == j) for i in range(width)]
-            for j in range(width)]
-    key = hermite_key(cols, list(moduli) + [lcm(*moduli)] * width)
-    return [row[r:] for row in key[r:]]
+    return [row[r:] for row in hermite_system(rows, moduli, width)[r:]]
+
+
+def hermite_solve(key: Sequence[Sequence[int]], b: Sequence[int],
+                  moduli: Sequence[int]) -> Optional[Vec]:
+    """One solution x in [0, L)^width of rows*x == b (mod moduli), or None,
+    for the ``key`` of ``hermite_system(rows, moduli, width)``.
+
+    Reducing (b ; 0) gives (0 ; t) exactly when the system is solvable; then
+    (b ; -t) lies in the lattice, so x = -t mod L solves it.
+    """
+    r = len(moduli)
+    t = hermite_reduce(tuple(b) + (0,) * (len(key) - r), key)
+    if any(t[:r]):
+        return None
+    big = lcm(*moduli)
+    return tuple(-v % big for v in t[r:])
 
 
 def hermite_reduce(vec: Sequence[int], key: Sequence[Sequence[int]]) -> Vec:
@@ -424,105 +424,23 @@ def hermite_reduce(vec: Sequence[int], key: Sequence[Sequence[int]]) -> Vec:
     return tuple(v)
 
 
-def _row_echelon_inplace(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Integer row reduction without transforms; kernel-preserving."""
-    out: list[list[int]] = []
-    work = [r for r in rows if any(r)]
-    col = 0
-    while work and col < width:
-        nz = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not nz:
-            work = rest
-            col += 1
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            r0 = nz[0]
-            new_nz = [r0]
-            for r in nz[1:]:
-                q = r[col] // r0[col]
-                for c in range(col, width):
-                    r[c] -= q * r0[c]
-                if r[col]:
-                    new_nz.append(r)
-                elif any(r):
-                    rest.append(r)
-            nz = new_nz
-        out.append(nz[0])
-        work = rest
-        col += 1
-    return out
-
-
-class ModSolver:
-    """Factored form of the system A*x == b (mod moduli) for repeated solves.
-
-    The augmented matrix [A | diag(moduli)] is Smith-reduced once; each
-    ``particular`` call afterwards costs only two matrix-vector products.
-    """
-
-    __slots__ = ("k", "r", "diag", "rank", "U", "V")
-
-    def __init__(self, rows: Sequence[Sequence[int]], k: int, moduli: Sequence[int]):
-        r = len(moduli)
-        for mm in moduli:
-            if mm < 1:
-                raise InputError("moduli must be >= 1")
-        S = [list(rows[i]) + [moduli[i] if i == j else 0 for j in range(r)]
-             for i in range(r)]
-        U, _, V = _snf_core(S, r, k + r, True, False, True)
-        self.k = k
-        self.r = r
-        self.U = U
-        self.V = V
-        self.diag = [S[i][i] for i in range(min(r, k + r))]
-        self.rank = sum(1 for d in self.diag if d)
-
-    def particular(self, b: Sequence[int]) -> Optional[list[int]]:
-        """One solution x (length k) of A*x == b, or None."""
-        k, r = self.k, self.r
-        U = self.U
-        w = [0] * (k + r)
-        for i in range(r):
-            ci = sum(U[i][j] * b[j] for j in range(r))
-            s = self.diag[i] if i < len(self.diag) else 0
-            if s == 0:
-                if ci:
-                    return None
-            else:
-                if ci % s:
-                    return None
-                w[i] = ci // s
-        V = self.V
-        return [sum(V[i][j] * w[j] for j in range(k + r) if w[j]) for i in range(k)]
-
-    def kernel_gens(self) -> list[Vec]:
-        """Generators of the homogeneous solution lattice in Z^k."""
-        out = []
-        for j in range(self.rank, self.k + self.r):
-            col = tuple(self.V[i][j] for i in range(self.k))
-            if any(col):
-                out.append(col)
-        return out
-
-
 def solve_mod_many(A: IntMatrix, b: Sequence[int], moduli: Sequence[int]) -> Optional[tuple[Vec, list[Vec]]]:
     """Solve A*x == b componentwise mod ``moduli`` (one modulus per row).
 
     Returns (particular solution, generators of the homogeneous solution
-    lattice in Z^cols) or None if no solution exists.  The homogeneous
-    lattice always contains lcm(moduli)*Z^cols, so its generators also
-    generate the solution subgroup after any further reduction.
+    lattice in Z^cols) or None if no solution exists, both read off one
+    ``hermite_system`` key.  The homogeneous lattice always contains
+    lcm(moduli)*Z^cols, so its generators also generate the solution
+    subgroup after any further reduction.
     """
     r, k = A.rows, A.cols
     if len(b) != r or len(moduli) != r:
         raise InputError("solve_mod_many: dimension mismatch")
-    solver = ModSolver(A.entries, k, moduli)
-    part = solver.particular(b)
+    key = hermite_system(A.entries, moduli, k)
+    part = hermite_solve(key, b, moduli)
     if part is None:
         return None
-    return tuple(part), solver.kernel_gens()
+    return part, [row[r:] for row in key[r:]]
 
 
 def kernel_mod(A: IntMatrix, target_moduli: Sequence[int]) -> list[Vec]:
@@ -549,8 +467,8 @@ def kernel_mod(A: IntMatrix, target_moduli: Sequence[int]) -> list[Vec]:
         rows.append(list(A.entries[i]) + [target_moduli[i] if i == j else 0 for j in range(r)])
     if not rows:
         return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    # row reduction keeps the kernel and shrinks the SNF input
-    reduced = _row_echelon_inplace(rows, k + r)
+    # a triangular basis of the row span keeps the kernel and shrinks the SNF input
+    reduced = [list(v) for v in column_echelon(rows, k + r)]
     m = len(reduced)
     width = k + r
     _, _, V = _snf_core(reduced, m, width, False, False, True)
@@ -577,7 +495,6 @@ def solve_linear_mod(A: IntMatrix, b: Sequence[int], modulus: int) -> Optional[t
     if res is None:
         return None
     part, hom = res
-    part = tuple(v % modulus for v in part)
     hom_red = []
     seen = set()
     for h in hom:

@@ -1,5 +1,6 @@
 """Constructions that only the tests use, built on the public zpure API."""
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from zpure.errors import InputError, InternalCheckError
@@ -18,7 +19,41 @@ from zpure.funcat import (
     coend_tensor,
     functor_from_values,
 )
-from zpure.zmodlin import IntMatrix, solve_mod_many
+from zpure.zmodlin import IntMatrix, _snf_core, solve_mod_many
+
+
+@dataclass(frozen=True)
+class SnfResult:
+    """Smith normal form S = U * A * V with unimodular U, V.
+
+    The diagonal of S is nonnegative and forms a divisibility chain
+    s_1 | s_2 | ... ; ``u_inv`` is the exact inverse of U, tracked during
+    the reduction so change-of-basis data never needs a separate inversion.
+    """
+
+    U: IntMatrix
+    S: IntMatrix
+    V: IntMatrix
+    u_inv: IntMatrix
+
+    def diagonal(self) -> list[int]:
+        return [self.S.entries[i][i] for i in range(min(self.S.rows, self.S.cols))]
+
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal() if d != 0)
+
+
+def smith_normal_form(A: IntMatrix) -> SnfResult:
+    """Smith normal form with all transforms; see SnfResult for invariants."""
+    m, n = A.rows, A.cols
+    S = [list(row) for row in A.entries]
+    U, Uinv, V = _snf_core(S, m, n, True, True, True)
+    return SnfResult(
+        U=IntMatrix.from_rows(U, cols=m),
+        S=IntMatrix.from_rows(S, cols=n),
+        V=IntMatrix.from_rows(V, cols=n),
+        u_inv=IntMatrix.from_rows(Uinv, cols=m),
+    )
 
 
 def inverse(f: ModuleMap) -> ModuleMap:

@@ -2,9 +2,9 @@
 
 Everything here enumerates residue vectors or uses textbook formulas
 directly; nothing calls back into the solver/SNF code it cross-checks.  The
-exceptions are the reference pp catalog and the reference functor-law
-validator at the end, which keep first constructions as the regression
-references for the current ones.
+exceptions are the reference pp catalog, the reference functor-law
+validator and the reference congruence solver at the end, which keep first
+constructions as the regression references for the current ones.
 """
 
 from fractions import Fraction
@@ -300,6 +300,17 @@ def reference_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def divisor_chains(n, max_gens):
+    """Every invariant-factor chain over Z/n with at most ``max_gens`` terms."""
+    divs = [d for d in reference_divisors(n) if d >= 2]
+    chains = [()]
+    frontier = [()]
+    for _ in range(max_gens):
+        frontier = [c + (e,) for c in frontier for e in divs if not c or e % c[-1] == 0]
+        chains.extend(frontier)
+    return chains
+
+
 # ---------------------------------------------------------------------------
 # The functor-category checks as first written: the composition coefficient
 # from its formula, and the functor laws checked by building and comparing
@@ -360,3 +371,91 @@ def reference_validate_functor(cat, variance, values, actions):
                     lhs = action(d, e) @ action(e, f)
                 if lhs != action(d, f).scale(c):
                     raise InputError("functor violates the composition table")
+
+
+# ---------------------------------------------------------------------------
+# The congruence solver and row echelon as first written: the augmented
+# system [A | diag(moduli)] is Smith-reduced once with both transforms, and
+# the Smith input of ``kernel_mod`` was shrunk by a sort-based row echelon.
+# They are the references for ``zpure.zmodlin.hermite_solve`` and for the
+# ``column_echelon`` step of ``zpure.zmodlin.kernel_mod``.
+
+
+class ReferenceModSolver:
+    """Factored form of the system A*x == b (mod moduli) for repeated solves."""
+
+    def __init__(self, rows, k, moduli):
+        from zpure.errors import InputError
+        from zpure.zmodlin import _snf_core
+
+        r = len(moduli)
+        for mm in moduli:
+            if mm < 1:
+                raise InputError("moduli must be >= 1")
+        S = [list(rows[i]) + [moduli[i] if i == j else 0 for j in range(r)]
+             for i in range(r)]
+        U, _, V = _snf_core(S, r, k + r, True, False, True)
+        self.k = k
+        self.r = r
+        self.U = U
+        self.V = V
+        self.diag = [S[i][i] for i in range(min(r, k + r))]
+        self.rank = sum(1 for d in self.diag if d)
+
+    def particular(self, b):
+        """One solution x (length k) of A*x == b, or None."""
+        k, r = self.k, self.r
+        U = self.U
+        w = [0] * (k + r)
+        for i in range(r):
+            ci = sum(U[i][j] * b[j] for j in range(r))
+            s = self.diag[i] if i < len(self.diag) else 0
+            if s == 0:
+                if ci:
+                    return None
+            else:
+                if ci % s:
+                    return None
+                w[i] = ci // s
+        V = self.V
+        return [sum(V[i][j] * w[j] for j in range(k + r) if w[j]) for i in range(k)]
+
+    def kernel_gens(self):
+        """Generators of the homogeneous solution lattice in Z^k."""
+        out = []
+        for j in range(self.rank, self.k + self.r):
+            col = tuple(self.V[i][j] for i in range(self.k))
+            if any(col):
+                out.append(col)
+        return out
+
+
+def reference_row_echelon(rows, width):
+    """Integer row reduction without transforms; kernel-preserving."""
+    out = []
+    work = [r for r in rows if any(r)]
+    col = 0
+    while work and col < width:
+        nz = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        if not nz:
+            work = rest
+            col += 1
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda r: abs(r[col]))
+            r0 = nz[0]
+            new_nz = [r0]
+            for r in nz[1:]:
+                q = r[col] // r0[col]
+                for c in range(col, width):
+                    r[c] -= q * r0[c]
+                if r[col]:
+                    new_nz.append(r)
+                elif any(r):
+                    rest.append(r)
+            nz = new_nz
+        out.append(nz[0])
+        work = rest
+        col += 1
+    return out

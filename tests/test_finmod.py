@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from itertools import islice
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +37,14 @@ from zpure.finmod import (
 )
 from zpure.zmodlin import IntMatrix
 
-from oracles import all_homs, apply_matrix, module_elements, reference_divisors, span_mod
+from oracles import (
+    ReferenceModSolver,
+    all_homs,
+    apply_matrix,
+    module_elements,
+    reference_divisors,
+    span_mod,
+)
 
 
 def Z(n, *invs):
@@ -148,6 +160,32 @@ def test_subgroup_coords_roundtrip():
     inc = sub.inclusion_into(amb)
     assert inc.is_injective()
     assert inc.domain == sub.module
+
+
+@pytest.mark.parametrize("n", [12, 24, 36])
+def test_subgroup_coords_match_reference_solver(n):
+    # any particular solution gives the same coordinates, because two of them
+    # differ by a relation, which the presentation's projection kills
+    rng = random.Random(f"coords:{n}")
+    for _ in range(25):
+        amb = random_module(n, rng, 3)
+        gens = tuple(tuple(rng.randrange(e) for e in amb.invariants)
+                     for _ in range(rng.randint(1, 3)))
+        sub = Subgroup(amb.invariants, n, gens)
+        if not sub.gens:
+            continue
+        reference = ReferenceModSolver(sub._gen_matrix.entries, len(sub.gens), amb.invariants)
+        for _ in range(6):
+            c = [rng.randrange(n) for _ in sub.gens]
+            x = amb.reduce(sub._gen_matrix.apply(c))
+            expected = sub.module.reduce(sub.presentation.project.apply(reference.particular(x)))
+            assert sub.coords(x) == expected
+            assert sub.element(expected) == x
+        outside = (x for x in module_elements(amb.invariants) if not sub.contains(x))
+        for x in islice(outside, 3):
+            assert reference.particular(x) is None
+            with pytest.raises(InputError):
+                sub.coords(x)
 
 
 def test_quotient_by_subgroup():
@@ -348,6 +386,25 @@ def test_split_examples():
     m = Z(4, 2, 4)
     seq2 = ShortSequence.from_maps(ModuleMap.zero(Z(4), m), ModuleMap.identity(m))
     assert is_split(seq2)
+
+
+def test_split_of_invertible_map_at_72_finishes():
+    # a Smith-form solver ran over 45 s on this system, as its entries grew;
+    # the Hermite solve keeps them below 72
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("from zpure.finmod import CanonicalModule, ModuleMap, ShortSequence, splitting_section\n"
+            "M = CanonicalModule(72, (72,) * 5)\n"
+            "g = ModuleMap.from_rows(M, M, [[11, 70, 32, 4, 9], [10, 2, 57, 1, 35],\n"
+            "    [31, 34, 14, 23, 44], [37, 8, 21, 20, 32], [67, 21, 34, 37, 58]])\n"
+            "f = ModuleMap.zero(CanonicalModule.zero(72), M)\n"
+            "s = splitting_section(ShortSequence.from_maps(f, g))\n"
+            "print(s is not None and (g @ s) == ModuleMap.identity(M))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 def test_split_implies_exact_and_section_exact():

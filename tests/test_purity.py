@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from zpure.finmod import (
     ShortSequence,
     direct_sum,
     direct_sum_sequences,
+    divisors,
     is_split,
     random_hom,
     random_ses,
@@ -30,6 +33,7 @@ from zpure.funcat import eval_fp_functor
 from zpure.ppdef import enumerate_pp
 
 from helpers import inverse
+from oracles import divisor_chains
 
 
 def Z(n, *invs):
@@ -221,3 +225,24 @@ def test_harness_rejects_bad_args():
         equivalence_harness(1, trials=5, seed=1)
     with pytest.raises(InputError):
         purity_report(z4_nonpure(), Bounds(pp_free=0))
+
+
+# sha256 of the d-torsion subgroups' generators, project and lift matrices,
+# as the Smith-form solver that first gave Subgroup its relations made them
+TORSION_PRESENTATIONS_SHA256 = "e3aa5e90ba07e563c0c9086c6223ca59df679d9cc4787efe586ec4888341c358"
+
+
+def test_torsion_presentations_are_pinned():
+    # the hom_lifting witness is an element of the d-torsion subgroup, listed
+    # through its presentation, so a kernel change that moves one fails here
+    records = []
+    for n in (4, 8, 9, 12, 24):
+        for chain in divisor_chains(n, 3):
+            for d in divisors(n)[1:]:
+                sub = purity._torsion_subgroup(Z(n, *chain), d)
+                pres = sub.presentation
+                records.append([n, list(chain), d, [list(g) for g in sub.gens],
+                                pres.project.tolists(), pres.lift.tolists()])
+    assert len(records) == 860
+    blob = json.dumps(records, separators=(",", ":"), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == TORSION_PRESENTATIONS_SHA256

@@ -11,18 +11,25 @@ from zpure.zmodlin import (
     hermite_kernel,
     hermite_key,
     hermite_reduce,
+    hermite_solve,
+    hermite_system,
     kernel_mod,
-    smith_normal_form,
     solve_linear_mod,
     solve_mod_many,
 )
+from zpure import zmodlin
 from zpure.errors import InputError
 
+from helpers import smith_normal_form
+
 from oracles import (
+    ReferenceModSolver,
     det_fraction,
+    divisor_chains,
     elementary_invariant_factors,
     enumerate_solutions,
     reference_hermite_key,
+    reference_row_echelon,
     span_mod,
 )
 
@@ -187,6 +194,78 @@ def test_solve_mod_many_componentwise():
     got = {(part[0] + s[0]) % 6 for s in span_mod(hom, (6,))}
     expected = {x for x in range(6) if x % 2 == 0 and x % 3 == 1}
     assert got == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_hermite_solve_against_enumeration(seed):
+    rng = random.Random(f"hsolve:{seed}")
+    r = rng.randint(1, 3)
+    k = rng.randint(1, 3)
+    moduli = [rng.choice([1, 1, 2, 3, 4, 6, 12]) for _ in range(r)]
+    N = 12
+    rows = [[rng.randrange(-N, N) for _ in range(k)] for _ in range(r)]
+    b = [rng.randrange(-N, N) for _ in range(r)]
+    expected = enumerate_solutions(rows, b, moduli, N)
+    x = hermite_solve(hermite_system(rows, moduli, k), b, moduli)
+    reference = ReferenceModSolver(rows, k, moduli).particular(b)
+    assert (x is None) == (reference is None) == (not expected)
+    res = solve_mod_many(IntMatrix.from_rows(rows, cols=k), b, moduli)
+    if x is None:
+        assert res is None
+        return
+    big = lcm(*moduli)
+    assert all(0 <= v < big for v in x)
+    part, hom = res
+    assert part == x
+    assert hom == hermite_kernel(rows, moduli, k)
+    shifts = span_mod(hom, tuple([N] * k))
+    got = {tuple((p + s) % N for p, s in zip(part, sh)) for sh in shifts}
+    assert got == expected
+
+
+def test_hermite_solve_of_empty_and_trivial_systems():
+    assert hermite_solve(hermite_system([], [], 2), [], []) == (0, 0)
+    assert hermite_solve(hermite_system([], [], 0), [], []) == ()
+    assert hermite_solve(hermite_system([[5, 7]], [1], 2), [3], [1]) == (0, 0)
+    # no unknowns: solvable exactly when b is zero modulo the moduli
+    assert hermite_solve(hermite_system([[]], [4], 0), [8], [4]) == ()
+    assert hermite_solve(hermite_system([[]], [4], 0), [1], [4]) is None
+    assert solve_mod_many(IntMatrix.zeros(0, 2), [], []) == ((0, 0), [(1, 0), (0, 1)])
+
+
+def _old_echelon(rows, dim):
+    return reference_row_echelon([list(r) for r in rows], dim)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_mod_spans_the_same_lattice_with_either_echelon(seed, monkeypatch):
+    rng = random.Random(f"echelon:{seed}")
+    r = rng.randint(1, 4)
+    k = rng.randint(1, 4)
+    moduli = [rng.choice([1, 2, 4, 6, 12, 24, 36]) for _ in range(r)]
+    A = IntMatrix.from_rows([[rng.randrange(-36, 36) for _ in range(k)] for _ in range(r)],
+                            cols=k)
+    new = kernel_mod(A, moduli)
+    monkeypatch.setattr(zmodlin, "column_echelon", _old_echelon)
+    old = kernel_mod(A, moduli)
+    # both lattices contain L*Z^k, so they are equal when their keys mod L are
+    orders = [lcm(*moduli)] * k
+    assert hermite_key(new, orders) == hermite_key(old, orders)
+
+
+def test_kernel_mod_is_unchanged_on_torsion_systems(monkeypatch):
+    # d*I against a chain is the system whose kernel generators reach the
+    # hom_lifting witness; every row has its own pivot, so both echelons
+    # leave the rows as they are and the Smith output is the same
+    systems = []
+    for n in (4, 8, 9, 12, 24, 36):
+        for chain in divisor_chains(n, 3)[1:]:
+            for d in range(2, n + 1):
+                if n % d == 0:
+                    systems.append((IntMatrix.diagonal([d % e for e in chain]), chain))
+    new = [kernel_mod(A, chain) for A, chain in systems]
+    monkeypatch.setattr(zmodlin, "column_echelon", _old_echelon)
+    assert new == [kernel_mod(A, chain) for A, chain in systems]
 
 
 def test_column_echelon_preserves_lattice():
