@@ -63,16 +63,40 @@ BUNDLED_EXAMPLES = {
 }
 
 
+def _exact_int(value, key: str) -> int:
+    # bool is a subclass of int, and int() would truncate a float
+    if type(value) is not int:
+        raise InputError(f"malformed sequence document: {key} holds "
+                         f"{type(value).__name__} {value!r}, not an integer")
+    return value
+
+
+def _int_list(value, key: str) -> list[int]:
+    if not isinstance(value, list):
+        raise InputError(f"malformed sequence document: {key} is not a list")
+    return [_exact_int(v, key) for v in value]
+
+
+def _int_rows(value, key: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise InputError(f"malformed sequence document: {key} is not a list")
+    return [_int_list(row, key) for row in value]
+
+
 def parse_sequence_document(doc: dict) -> ShortSequence:
+    """The sequence a document describes.  Numbers must be JSON integers
+    and lists JSON arrays; anything else is an InputError."""
+    if not isinstance(doc, dict):
+        raise InputError("malformed sequence document: not a JSON object")
     try:
-        modulus = int(doc["modulus"])
-        inv_l = [int(v) for v in doc["L"]]
-        inv_m = [int(v) for v in doc["M"]]
-        inv_n = [int(v) for v in doc["N"]]
-        f_rows = [[int(v) for v in row] for row in doc["f"]]
-        g_rows = [[int(v) for v in row] for row in doc["g"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed sequence document: {exc}")
+        modulus = _exact_int(doc["modulus"], "modulus")
+        inv_l = _int_list(doc["L"], "L")
+        inv_m = _int_list(doc["M"], "M")
+        inv_n = _int_list(doc["N"], "N")
+        f_rows = _int_rows(doc["f"], "f")
+        g_rows = _int_rows(doc["g"], "g")
+    except KeyError as exc:
+        raise InputError(f"malformed sequence document: missing key {exc}")
     left = CanonicalModule(modulus, tuple(inv_l))
     middle = CanonicalModule(modulus, tuple(inv_m))
     right = CanonicalModule(modulus, tuple(inv_n))

@@ -215,7 +215,7 @@ def _formula_signature(formula: PpFormula, modulus: int) -> tuple:
 
 def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     """Representatives (as row lists) of all row-span lattices reachable with
-    at most max_rows rows over Z/modulus, each kept once by Hermite key.
+    at most max_rows rows over Z/modulus, each yielded once by Hermite key.
 
     A child of a lattice adds one row.  The Hermite representative of a
     coset (coordinate i in [0, p_i) for the pivots p_i) is its
@@ -229,7 +229,6 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     zero_key = hermite_key([], orders)
     seen = {zero_key}
     level: list[tuple[tuple, list]] = [(zero_key, [])]
-    reps: list[list] = []
     for _ in range(max_rows):
         nxt = []
         for key, rows in level:
@@ -242,12 +241,38 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
                 seen.add(new_key)
                 new_rows = rows + [v]
                 nxt.append((new_key, new_rows))
-                reps.append(new_rows)
+                yield new_rows
         level = nxt
-    return reps
 
 
-@lru_cache(maxsize=None)
+def _candidate_formulas(modulus: int, free_vars: int, max_bound: int, max_rows: int):
+    """Every formula the catalog considers, in the order it considers them."""
+    yield trivial_formula(free_vars)
+    if free_vars == 1:
+        if max_bound >= 1:
+            for d in divisors(modulus):
+                yield divisibility_formula(d, modulus)
+        for d in divisors(modulus):
+            yield annihilator_formula(d)
+    for m in range(0, max_bound + 1):
+        width = free_vars + m
+        for rows in _enumerate_row_spans(modulus, width, max_rows):
+            a = IntMatrix.from_rows([r[:free_vars] for r in rows], cols=free_vars)
+            b = IntMatrix.from_rows([r[free_vars:] for r in rows], cols=m)
+            yield PpFormula(free_vars, m, a, b)
+
+
+def _prime_factor_count(n: int) -> int:
+    """Omega(n): the prime factors of n counted with multiplicity."""
+    count = 0
+    for p in divisors(n)[1:]:  # ascending: one still dividing n is prime
+        while n % p == 0:
+            n //= p
+            count += 1
+    return count
+
+
+@lru_cache(maxsize=16)
 def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
                  max_rows: int = 2) -> tuple[PpFormula, ...]:
     """Deterministic catalog of pp formulas within the stated bounds.
@@ -260,32 +285,34 @@ def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
     the modulus, compared by Hermite forms (see ``_formula_signature``); the
     first representative in enumeration order is kept.  Since pp formulas
     commute with direct sums, they then agree on every Z/modulus-module.
+
+    With one free variable there are at most 2^Omega(N) classes, Omega(N)
+    the number of prime factors of N = modulus counted with multiplicity,
+    and the scan stops once it has kept that many.  Proof: phi(Z/d) is a
+    subgroup of the cyclic group Z/d, so its order fixes it, and by CRT
+    Z/d is the sum of its primary parts Z/p^j, which phi respects.  So the
+    class of phi is fixed by the sequences s_j = log_p |phi(Z/p^j)|,
+    0 <= j <= k, for each prime power p^k exactly dividing N, with s_0 = 0.
+    Homomorphisms carry phi(M) into phi(M').  The inclusion
+    Z/p^j -> Z/p^(j+1) is injective, so s_j <= s_(j+1); the projection
+    Z/p^(j+1) -> Z/p^j has a kernel of order p, so s_(j+1) <= s_j + 1.
+    Each step of s is 0 or 1, which leaves 2^k sequences per prime and
+    2^Omega(N) classes in all.  Every later candidate would be a dropped
+    duplicate, so the catalog is the one the full scan builds.  With more
+    free variables there is no such bound and the scan runs to the end.
     """
     if free_vars < 1 or max_bound < 0 or max_rows < 0:
         raise InputError("catalog bounds out of range")
+    cap = 2 ** _prime_factor_count(modulus) if free_vars == 1 else None
     catalog: list[PpFormula] = []
     seen_sigs = set()
-
-    def offer(formula: PpFormula):
+    for formula in _candidate_formulas(modulus, free_vars, max_bound, max_rows):
         sig = _formula_signature(formula, modulus)
         if sig not in seen_sigs:
             seen_sigs.add(sig)
             catalog.append(formula)
-
-    offer(trivial_formula(free_vars))
-    if free_vars == 1:
-        for d in divisors(modulus):
-            if max_bound >= 1:
-                offer(divisibility_formula(d, modulus))
-        for d in divisors(modulus):
-            offer(annihilator_formula(d))
-
-    for m in range(0, max_bound + 1):
-        width = free_vars + m
-        for rows in _enumerate_row_spans(modulus, width, max_rows):
-            a = IntMatrix.from_rows([r[:free_vars] for r in rows], cols=free_vars)
-            b = IntMatrix.from_rows([r[free_vars:] for r in rows], cols=m)
-            offer(PpFormula(free_vars, m, a, b))
+            if len(catalog) == cap:
+                break
     return tuple(catalog)
 
 

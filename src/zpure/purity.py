@@ -32,6 +32,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, InputError
@@ -42,12 +44,13 @@ from .finmod import (
     Subgroup,
     divisors,
     dual_map,
+    hom_module,
     is_exact,
     random_ses,
     splitting_section,
     tensor_map,
 )
-from .funcat import eval_fp_functor, fp_induced
+from .funcat import fp_induced
 from .ppdef import (
     PpPair,
     enumerate_pp,
@@ -56,7 +59,7 @@ from .ppdef import (
     induced_pp_map,
     sort_group_from_subgroups,
 )
-from .zmodlin import IntMatrix
+from .zmodlin import IntMatrix, snf_diagonal
 
 CHECKER_NAMES = ("hom_lifting", "split", "fp_functors", "pp_pairs", "tensor", "dual_split")
 
@@ -210,18 +213,34 @@ def _modules_with_bounded_gens(modulus: int, depth: int) -> list[CanonicalModule
     return [CanonicalModule(modulus, c) for c in chains]
 
 
-_FP_CATALOGS: dict[tuple[int, int], tuple[ModuleMap, ...]] = {}
+def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
+    """Invariant factors of F_u(Z/d) = coker(Hom(a, Z/d) -> Hom(b, Z/d)) for
+    u: b -> a, read off a gcd matrix.
+
+    Hom(Z/a_i, Z/d) is cyclic of order g_i = gcd(a_i, d), generated by
+    1 -> d/g_i, and likewise Hom(Z/b_j, Z/d) of order h_j = gcd(b_j, d).
+    Composing the i-th generator with u sends the j-th generator of b to
+    u_ij * d/g_i, which is u_ij * h_j/g_i times the j-th generator of
+    Hom(b, Z/d); the quotient exists because u is well defined.  So F_u(Z/d)
+    is the cokernel on the sum of the Z/h_j of the matrix with rows j and
+    entries u_ij * h_j/g_i, and its invariant factors are the Smith diagonal
+    of that matrix next to diag(h), without the ones.
+    """
+    g = [gcd(x, d) for x in u.codomain.invariants]
+    h = [gcd(y, d) for y in u.domain.invariants]
+    entries = u.matrix.entries
+    rows = [[entries[i][j] * hj // gi % hj for i, gi in enumerate(g)]
+            + [hj if k == j else 0 for k in range(len(h))]
+            for j, hj in enumerate(h)]
+    return tuple(s for s in snf_diagonal(rows, len(h), len(g) + len(h)) if s != 1)
 
 
+@lru_cache(maxsize=16)
 def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
     """Deterministic catalog of presentation maps u: b -> a, deduplicated by
-    the invariants of the induced functor on cyclic test modules."""
-    key = (modulus, depth)
-    if key in _FP_CATALOGS:
-        return _FP_CATALOGS[key]
-    from .finmod import hom_module
-
-    test = [CanonicalModule.cyclic(modulus, d) for d in divisors(modulus)]
+    the invariants of the induced functor on cyclic test modules
+    (``fp_invariants`` for every divisor of the modulus)."""
+    divs = divisors(modulus)
     mods = _modules_with_bounded_gens(modulus, depth)
     catalog: list[ModuleMap] = []
     seen = set()
@@ -234,13 +253,11 @@ def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
             if h.module.ngens > 1:
                 candidates.append(h.to_map(tuple(1 for _ in range(h.module.ngens))))
             for u in candidates:
-                sig = tuple(eval_fp_functor(u, c).invariants for c in test)
+                sig = tuple(fp_invariants(u, d) for d in divs)
                 if sig not in seen:
                     seen.add(sig)
                     catalog.append(u)
-    result = tuple(catalog)
-    _FP_CATALOGS[key] = result
-    return result
+    return tuple(catalog)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,13 @@ def _snf_core(S: list[list[int]], m: int, n: int,
     return U, Uinv, V
 
 
+def snf_diagonal(rows: Sequence[Sequence[int]], m: int, n: int) -> list[int]:
+    """The Smith diagonal of an m x n matrix; no transform is tracked."""
+    S = [list(r) for r in rows]
+    _snf_core(S, m, n, False, False, False)
+    return [S[i][i] for i in range(min(m, n))]
+
+
 def snf_left_transforms(rows: Sequence[Sequence[int]], m: int, n: int):
     """(U, U_inverse, diagonal) with U*A*V = S; V is not tracked."""
     S = [list(r) for r in rows]

@@ -2,7 +2,7 @@
 
 Everything here enumerates residue vectors or uses textbook formulas
 directly; nothing calls back into the solver/SNF code it cross-checks.  The
-exceptions are the reference pp catalog, the reference functor-law
+exceptions are the reference pp and fp catalogs, the reference functor-law
 validator and the reference congruence solver at the end, which keep first
 constructions as the regression references for the current ones.
 """
@@ -257,10 +257,9 @@ def reference_row_spans(modulus, width, max_rows):
     return reps
 
 
-@lru_cache(maxsize=None)
-def reference_enumerate_pp(modulus, free_vars=1, max_bound=2, max_rows=2):
-    """The catalog in the order and with the representatives of
-    ``zpure.ppdef.enumerate_pp``."""
+def reference_offered_formulas(modulus, free_vars=1, max_bound=2, max_rows=2):
+    """Every formula the catalog considers, in order and without the class
+    bound: the fixed prefix, then one formula per reference row span."""
     from zpure.ppdef import (
         PpFormula,
         annihilator_formula,
@@ -269,29 +268,71 @@ def reference_enumerate_pp(modulus, free_vars=1, max_bound=2, max_rows=2):
     )
     from zpure.zmodlin import IntMatrix
 
-    test_modules = tuple(dedup_test_modules(modulus))
-    catalog = []
-    seen_sigs = set()
-
-    def offer(formula):
-        sig = reference_signature(formula, test_modules)
-        if sig not in seen_sigs:
-            seen_sigs.add(sig)
-            catalog.append(formula)
-
-    offer(trivial_formula(free_vars))
+    offered = [trivial_formula(free_vars)]
     if free_vars == 1:
-        for d in reference_divisors(modulus):
-            if max_bound >= 1:
-                offer(divisibility_formula(d, modulus))
-        for d in reference_divisors(modulus):
-            offer(annihilator_formula(d))
+        if max_bound >= 1:
+            offered += [divisibility_formula(d, modulus) for d in reference_divisors(modulus)]
+        offered += [annihilator_formula(d) for d in reference_divisors(modulus)]
     for m in range(0, max_bound + 1):
         width = free_vars + m
         for rows in reference_row_spans(modulus, width, max_rows):
             a = IntMatrix.from_rows([r[:free_vars] for r in rows], cols=free_vars)
             b = IntMatrix.from_rows([r[free_vars:] for r in rows], cols=m)
-            offer(PpFormula(free_vars, m, a, b))
+            offered.append(PpFormula(free_vars, m, a, b))
+    return offered
+
+
+@lru_cache(maxsize=None)
+def reference_enumerate_pp(modulus, free_vars=1, max_bound=2, max_rows=2):
+    """The catalog in the order and with the representatives of
+    ``zpure.ppdef.enumerate_pp``."""
+    test_modules = tuple(dedup_test_modules(modulus))
+    catalog = []
+    seen_sigs = set()
+    for formula in reference_offered_formulas(modulus, free_vars, max_bound, max_rows):
+        sig = reference_signature(formula, test_modules)
+        if sig not in seen_sigs:
+            seen_sigs.add(sig)
+            catalog.append(formula)
+    return tuple(catalog)
+
+
+# ---------------------------------------------------------------------------
+# The fp catalog as first built: each candidate map is deduplicated by the
+# library's fp-functor evaluation (a hom group and a quotient module per
+# cyclic test module).  It is the reference for the gcd-matrix signature of
+# ``zpure.purity.fp_catalog``.
+
+
+def reference_fp_candidates(modulus, depth):
+    """Every candidate map u: b -> a of the fp catalog, in order."""
+    from zpure.finmod import CanonicalModule, ModuleMap, hom_module
+
+    mods = [CanonicalModule(modulus, c) for c in divisor_chains(modulus, depth)]
+    for b in mods:
+        for a in mods:
+            h = hom_module(b, a)
+            yield ModuleMap.zero(b, a)
+            for i in range(h.module.ngens):
+                yield h.to_map(h.module.generator(i))
+            if h.module.ngens > 1:
+                yield h.to_map(tuple(1 for _ in range(h.module.ngens)))
+
+
+def reference_fp_catalog(modulus, depth):
+    """The catalog in the order and with the members of
+    ``zpure.purity.fp_catalog``."""
+    from zpure.finmod import CanonicalModule
+    from zpure.funcat import eval_fp_functor
+
+    test = [CanonicalModule.cyclic(modulus, d) for d in reference_divisors(modulus)]
+    catalog = []
+    seen = set()
+    for u in reference_fp_candidates(modulus, depth):
+        sig = tuple(eval_fp_functor(u, c).invariants for c in test)
+        if sig not in seen:
+            seen.add(sig)
+            catalog.append(u)
     return tuple(catalog)
 
 

@@ -137,6 +137,27 @@ def test_check_malformed_document(run_cli, tmp_path):
     assert code == 3
 
 
+INEXACT_FIELDS = [
+    ("modulus", True), ("modulus", 4.0), ("modulus", "4"),
+    ("L", [True]), ("M", [4.0]), ("N", ["2"]), ("L", "2"),
+    ("f", [[2.5]]), ("f", [[True]]), ("g", [["1"]]), ("g", [1]), ("f", None),
+]
+
+
+@pytest.mark.parametrize("key,value", INEXACT_FIELDS,
+                         ids=[f"{k}={json.dumps(v)}" for k, v in INEXACT_FIELDS])
+def test_check_rejects_inexact_numbers(run_cli, tmp_path, key, value):
+    # a float would be truncated, a bool read as 0 or 1, a string as digits
+    doc = dict(BUNDLED_EXAMPLES["z4-nonpure"], **{key: value})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "malformed sequence document" in err
+
+
 def test_roundtrip_documents():
     for name, doc in BUNDLED_EXAMPLES.items():
         seq = parse_sequence_document(doc)

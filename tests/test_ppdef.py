@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     dedup_test_modules,
     pp_solution_set,
     reference_enumerate_pp,
+    reference_offered_formulas,
     reference_row_spans,
     reference_signature,
     span_mod,
@@ -266,10 +268,11 @@ def test_catalog_matches_reference_enumerator(bounds):
 def test_row_spans_match_full_scan(modulus):
     for width in (1, 2, 3):
         for max_rows in (0, 1, 2):
-            assert (_enumerate_row_spans(modulus, width, max_rows)
+            assert (list(_enumerate_row_spans(modulus, width, max_rows))
                     == reference_row_spans(modulus, width, max_rows))
     for width in (1, 2):
-        assert _enumerate_row_spans(modulus, width, 3) == reference_row_spans(modulus, width, 3)
+        assert (list(_enumerate_row_spans(modulus, width, 3))
+                == reference_row_spans(modulus, width, 3))
 
 
 def _offered_formulas(monkeypatch, bounds):
@@ -290,17 +293,56 @@ def _offered_formulas(monkeypatch, bounds):
 @pytest.mark.parametrize("bounds", [(4, 1, 2, 2), (6, 1, 2, 2), (8, 1, 2, 2), (9, 1, 2, 2),
                                     (4, 2, 1, 1), (6, 2, 1, 1), (8, 2, 1, 1), (9, 2, 1, 1)],
                          ids=bounds_id)
-def test_signature_equivalence_matches_evaluation(monkeypatch, bounds):
+def test_signature_equivalence_matches_evaluation(bounds):
     modulus = bounds[0]
-    offered = _offered_formulas(monkeypatch, bounds)
+    full = reference_offered_formulas(*bounds)
     if bounds[1:] == (1, 2, 2):
         spans = sum(len(reference_row_spans(modulus, 1 + m, 2)) for m in range(3))
-        assert len(offered) == 1 + 2 * len(divisors(modulus)) + spans
+        assert len(full) == 1 + 2 * len(divisors(modulus)) + spans
+    assert list(ppdef._candidate_formulas(*bounds)) == full
     test_modules = dedup_test_modules(modulus)
-    new = [ppdef._formula_signature(f, modulus) for f in offered]
-    ref = [reference_signature(f, test_modules) for f in offered]
+    new = [ppdef._formula_signature(f, modulus) for f in full]
+    ref = [reference_signature(f, test_modules) for f in full]
     # equal new signatures exactly when equal reference signatures
     assert len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
+
+
+def prime_factor_count(n):
+    """Omega(n), by repeated division by the least divisor >= 2."""
+    count = 0
+    while n > 1:
+        n //= next(d for d in range(2, n + 1) if n % d == 0)
+        count += 1
+    return count
+
+
+@lru_cache(maxsize=None)
+def _uncapped_scan(bounds):
+    """Every formula the catalog considers for ``bounds``, and its signature."""
+    full = tuple(ppdef._candidate_formulas(*bounds))
+    return full, tuple(ppdef._formula_signature(f, bounds[0]) for f in full)
+
+
+@pytest.mark.parametrize("modulus", range(2, 13))
+def test_one_variable_classes_within_bound(modulus):
+    _, sigs = _uncapped_scan((modulus, 1, 2, 2))
+    assert len(set(sigs)) <= 2 ** prime_factor_count(modulus)
+
+
+@pytest.mark.parametrize("bounds", [(n, 1, 2, 2) for n in range(2, 13)]
+                         + [(8, 1, 2, 1), (4, 2, 1, 1)], ids=bounds_id)
+def test_capped_scan_is_a_prefix(monkeypatch, bounds):
+    offered = _offered_formulas(monkeypatch, bounds)
+    full, sigs = _uncapped_scan(bounds)
+    assert offered == list(full[:len(offered)])
+    kept = len(set(sigs[:len(offered)]))
+    assert kept == len(enumerate_pp(*bounds)) == len(set(sigs))
+    if len(offered) < len(full):
+        # stopped by the class bound, right at the formula that reached it
+        cap = 2 ** prime_factor_count(bounds[0])
+        assert bounds[1] == 1
+        assert kept == cap
+        assert len(set(sigs[:len(offered) - 1])) == cap - 1
 
 
 def test_format_parse_roundtrip():

@@ -26,6 +26,7 @@ from zpure.purity import (
     check_tensor,
     equivalence_harness,
     fp_catalog,
+    fp_invariants,
     purity_report,
 )
 from zpure import purity
@@ -33,7 +34,7 @@ from zpure.funcat import eval_fp_functor
 from zpure.ppdef import enumerate_pp
 
 from helpers import inverse
-from oracles import divisor_chains
+from oracles import divisor_chains, reference_fp_candidates, reference_fp_catalog
 
 
 def Z(n, *invs):
@@ -88,6 +89,24 @@ def test_fp_functor_checker_examples():
             (Z(4, d) if d > 1 else Z(4)) for d in (1, 2, 4))
         for u in cat4)
     assert found
+
+
+FP_CATALOG_CASES = [(n, depth) for n in range(2, 17) for depth in (0, 1, 2)] + [(24, 1)]
+
+
+@pytest.mark.parametrize("modulus,depth", FP_CATALOG_CASES,
+                         ids=[f"{n}-{d}" for n, d in FP_CATALOG_CASES])
+def test_fp_catalog_matches_reference(modulus, depth):
+    assert fp_catalog(modulus, depth) == reference_fp_catalog(modulus, depth)
+
+
+@pytest.mark.parametrize("modulus", range(2, 13))
+def test_fp_invariants_match_evaluation(modulus):
+    divs = divisors(modulus)
+    for u in reference_fp_candidates(modulus, 2):
+        for d in divs:
+            expected = eval_fp_functor(u, CanonicalModule.cyclic(modulus, d)).invariants
+            assert fp_invariants(u, d) == expected, (u, d)
 
 
 def test_pp_checker_examples():
@@ -195,13 +214,13 @@ def test_harness_builds_catalogs_before_forking():
     # catalogs built by the parent are in its own caches; a build that
     # happened only inside pool workers would leave them empty here
     enumerate_pp.cache_clear()
-    purity._FP_CATALOGS.pop((8, 2), None)
+    fp_catalog.cache_clear()
     pooled = equivalence_harness(8, 6, seed=1, jobs=2)
-    before = enumerate_pp.cache_info()
-    enumerate_pp(8, 1, 2, 2)
-    after = enumerate_pp.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert (8, 2) in purity._FP_CATALOGS
+    for build, args in ((enumerate_pp, (8, 1, 2, 2)), (fp_catalog, (8, 2))):
+        before = build.cache_info()
+        build(*args)
+        after = build.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert equivalence_harness(8, 6, seed=1, jobs=1) == pooled
 
 
