@@ -63,6 +63,10 @@ BUNDLED_EXAMPLES = {
 }
 
 
+# `divisors` tries every candidate up to sqrt(N), about 10^6 steps here
+MAX_MODULUS = 10**12
+
+
 def _exact_int(value, key: str) -> int:
     # bool is a subclass of int, and int() would truncate a float
     if type(value) is not int:
@@ -97,6 +101,8 @@ def parse_sequence_document(doc: dict) -> ShortSequence:
         g_rows = _int_rows(doc["g"], "g")
     except KeyError as exc:
         raise InputError(f"malformed sequence document: missing key {exc}")
+    if modulus > MAX_MODULUS:
+        raise InputError(f"modulus {modulus} exceeds the supported {MAX_MODULUS}")
     left = CanonicalModule(modulus, tuple(inv_l))
     middle = CanonicalModule(modulus, tuple(inv_m))
     right = CanonicalModule(modulus, tuple(inv_n))
@@ -189,7 +195,9 @@ def cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and text that is not UTF-8;
+        # RecursionError, arrays nested too deep for the decoder
         print(f"error: cannot read document: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

@@ -30,6 +30,7 @@ from .zmodlin import (
     hermite_solve,
     hermite_system,
     kernel_mod,
+    key_order,
     snf_left_transforms,
 )
 
@@ -294,7 +295,7 @@ class Subgroup:
 
     @cached_property
     def cardinality(self) -> int:
-        return prod(self.ambient_orders) // prod(row[i] for i, row in enumerate(self.key))
+        return key_order(self.key, self.ambient_orders)
 
     def contains(self, x: Sequence[int]) -> bool:
         return not any(hermite_reduce(x, self.key))
@@ -400,7 +401,7 @@ class HomModule:
             yield self.to_map(el)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def hom_module(source: CanonicalModule, target: CanonicalModule) -> HomModule:
     """The group of homomorphisms source -> target as a canonical module."""
     if source.modulus != target.modulus:
@@ -442,7 +443,7 @@ class TensorModule:
         return self.module.reduce(self.pres.project.apply(coords))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def tensor_modules(left: CanonicalModule, right: CanonicalModule) -> TensorModule:
     if left.modulus != right.modulus:
         raise InputError("tensor across different moduli")
@@ -502,7 +503,7 @@ class DualModule:
         return total % N
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def dual_module(module: CanonicalModule) -> DualModule:
     return DualModule(module, CanonicalModule(module.modulus, module.invariants))
 
@@ -680,15 +681,6 @@ def direct_sum_maps(maps: Sequence[ModuleMap], dom_sum: DirectSum, cod_sum: Dire
         total = piece if total is None else total + piece
     assert total is not None
     return total
-
-
-def direct_sum_sequences(a: ShortSequence, b: ShortSequence) -> ShortSequence:
-    ls = direct_sum([a.left, b.left])
-    ms = direct_sum([a.middle, b.middle])
-    rs = direct_sum([a.right, b.right])
-    f = direct_sum_maps([a.f, b.f], ls, ms)
-    g = direct_sum_maps([a.g, b.g], ms, rs)
-    return ShortSequence(ls.module, ms.module, rs.module, f, g)
 
 
 # ---------------------------------------------------------------------------

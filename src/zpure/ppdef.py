@@ -94,32 +94,39 @@ class PpPair:
     psi: PpFormula
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=1024)
     def of(cls, phi: PpFormula, psi: PpFormula) -> "PpPair":
         return cls(phi, psi.conjoin(phi))
 
 
-@lru_cache(maxsize=None)
-def eval_pp(formula: PpFormula, module: CanonicalModule) -> Subgroup:
-    """The subgroup {x in M^k : exists y, A*x + B*y = 0} by generators."""
-    k, m = formula.free_count, formula.bound_count
-    s = module.ngens
-    orders = tuple(module.invariants) * k
+@lru_cache(maxsize=4096)
+def _cyclic_solutions(formula: PpFormula, d: int) -> tuple[Vec, ...]:
+    """Generators of phi(Z/d) <= (Z/d)^k: the free parts, reduced mod d, of
+    the ``kernel_mod`` solutions of [A | B] over Z/d, zero ones dropped."""
+    k = formula.free_count
     combined = formula.a.hstack(formula.b)
+    sols = (tuple(v % d for v in sol[:k])
+            for sol in kernel_mod(combined, [d] * formula.rows))
+    return tuple(sol for sol in sols if any(sol))
+
+
+@lru_cache(maxsize=32768)
+def eval_pp(formula: PpFormula, module: CanonicalModule) -> Subgroup:
+    """The subgroup {x in M^k : exists y, A*x + B*y = 0} by generators.
+
+    pp formulas commute with direct sums, so phi(M) is the sum over the
+    invariant factors d_t of M of phi(Z/d_t), placed at coordinate t of
+    every variable."""
+    k = formula.free_count
+    s = module.ngens
     gens = []
-    for t in range(s):
-        d = module.invariants[t]
-        for sol in kernel_mod(combined, [d] * formula.rows):
+    for t, d in enumerate(module.invariants):
+        for sol in _cyclic_solutions(formula, d):
             vec = [0] * (k * s)
-            nontrivial = False
-            for j in range(k):
-                v = sol[j] % d
-                if v:
-                    vec[j * s + t] = v
-                    nontrivial = True
-            if nontrivial:
-                gens.append(tuple(vec))
-    return Subgroup(orders, module.modulus, tuple(gens))
+            for j, v in enumerate(sol):
+                vec[j * s + t] = v
+            gens.append(tuple(vec))
+    return Subgroup(tuple(module.invariants) * k, module.modulus, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ def sort_group_from_subgroups(phi_sub: Subgroup, psi_sub: Subgroup,
     return SortGroup(module, pres.module, phi_sub, pres)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def pp_pair_value(pair: PpPair, module: CanonicalModule) -> SortGroup:
     return sort_group_from_subgroups(eval_pp(pair.phi, module),
                                      eval_pp(pair.psi, module), module)
@@ -235,7 +242,7 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
             box = product(*(range(key[i][i]) for i in range(width)))
             next(box)  # the zero coset adds nothing
             for v in box:
-                new_key = hermite_extend(key, v, orders)
+                new_key = hermite_extend(key, (v,), orders)
                 if new_key in seen:
                     continue
                 seen.add(new_key)

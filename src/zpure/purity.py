@@ -33,7 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, InputError
@@ -50,16 +50,21 @@ from .finmod import (
     splitting_section,
     tensor_map,
 )
-from .funcat import fp_induced
 from .ppdef import (
     PpPair,
     enumerate_pp,
     eval_pp,
     format_pp,
-    induced_pp_map,
-    sort_group_from_subgroups,
 )
-from .zmodlin import IntMatrix, snf_diagonal
+from .zmodlin import (
+    IntMatrix,
+    Vec,
+    hermite_extend,
+    hermite_key,
+    hermite_reduce,
+    key_order,
+    snf_diagonal,
+)
 
 CHECKER_NAMES = ("hom_lifting", "split", "fp_functors", "pp_pairs", "tensor", "dual_split")
 
@@ -122,12 +127,17 @@ def check_split_oracle(seq: ShortSequence):
     return True, {"kind": "section", "matrix": s.matrix.tolists()}
 
 
+def fp_functor_exact(u: ModuleMap, seq: ShortSequence) -> bool:
+    """Whether F_u(L) -> F_u(M) -> F_u(N) is exact, F_u = coker(Hom(a, -) ->
+    Hom(b, -)) for u: b -> a."""
+    terms = [fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
+    return induced_exact(seq.f, seq.g, *terms, blocks=u.domain.ngens)
+
+
 def check_fp_functors(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
     """Exactness of every sequence induced by the bounded fp-functor catalog."""
     for u in fp_catalog(seq.modulus, bounds.fp_depth):
-        f_ind = fp_induced(u, seq.f)
-        g_ind = fp_induced(u, seq.g)
-        if not is_exact(f_ind, g_ind):
+        if not fp_functor_exact(u, seq):
             return False, {
                 "kind": "fp_functor",
                 "map_domain": list(u.domain.invariants),
@@ -137,29 +147,28 @@ def check_fp_functors(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
     return True, None
 
 
+def pp_pair_exact(phis: Sequence[Subgroup], psis: Sequence[Subgroup],
+                  seq: ShortSequence, free_count: int) -> bool:
+    """Whether phi/psi(L) -> phi/psi(M) -> phi/psi(N) is exact, given the
+    evaluations of phi and of psi & phi at the three terms."""
+    if all(p.cardinality == q.cardinality for p, q in zip(phis, psis)):
+        return True  # all three sort groups vanish; trivially exact
+    terms = [InducedTerm(p.ambient_orders, p.gens, p.key, q.key,
+                         p.cardinality // q.cardinality)
+             for p, q in zip(phis, psis)]
+    return induced_exact(seq.f, seq.g, *terms, blocks=free_count)
+
+
 def check_pp_pairs(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
     """Exactness of the sort-group sequence for every catalog pp pair."""
     catalog = enumerate_pp(seq.modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
     mods = (seq.left, seq.middle, seq.right)
-    phi_subs = {}
-
-    def phi_sub(idx, which):
-        key = (idx, which)
-        if key not in phi_subs:
-            phi_subs[key] = eval_pp(catalog[idx], mods[which])
-        return phi_subs[key]
-
-    for i, phi in enumerate(catalog):
-        for j, psi in enumerate(catalog):
+    for phi in catalog:
+        phis = [eval_pp(phi, m) for m in mods]
+        for psi in catalog:
             pair = PpPair.of(phi, psi)
-            psi_subs = [eval_pp(pair.psi, m) for m in mods]
-            if all(psi_subs[w].cardinality == phi_sub(i, w).cardinality for w in range(3)):
-                continue  # all three sort groups vanish; trivially exact
-            sorts = [sort_group_from_subgroups(phi_sub(i, w), psi_subs[w], mods[w])
-                     for w in range(3)]
-            f_ind = induced_pp_map(pair, seq.f, sorts[0], sorts[1])
-            g_ind = induced_pp_map(pair, seq.g, sorts[1], sorts[2])
-            if not is_exact(f_ind, g_ind):
+            psis = [eval_pp(pair.psi, m) for m in mods]
+            if not pp_pair_exact(phis, psis, seq, phi.free_count):
                 return False, {"kind": "pp_pair",
                                "phi": format_pp(phi), "psi": format_pp(psi)}
     return True, None
@@ -191,6 +200,117 @@ def check_dual_split(seq: ShortSequence):
     if splitting_section(dual_seq) is None:
         return False, {"kind": "dual_not_split"}
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Exactness of induced sequences by subgroup orders
+
+
+@dataclass(frozen=True)
+class InducedTerm:
+    """F(X) = G(X)/R(X) for an additive functor F, in raw coordinates.
+
+    G(X) and R(X) <= G(X) are subgroups of prod Z/o_i, the coordinates
+    grouped into blocks, one copy of X per block on which a map X -> Y acts.
+    ``gens`` generate G(X); ``carrier`` and ``relations`` are the Hermite
+    keys of G(X) and R(X); ``order`` is |F(X)| = |G(X)| / |R(X)|.
+    """
+
+    orders: tuple[int, ...]
+    gens: tuple[Vec, ...]
+    carrier: tuple[Vec, ...]
+    relations: tuple[Vec, ...]
+    order: int
+
+
+def _blockwise(f: ModuleMap, blocks: int):
+    """The map (dom f)^blocks -> (cod f)^blocks applying f to each block."""
+    s = f.domain.ngens
+    cols = f.matrix.transpose().entries
+    n = len(f.codomain.invariants)
+    orders = f.codomain.invariants * blocks
+
+    def push(vec: Sequence[int]) -> Vec:
+        out = [0] * len(orders)
+        for i, v in enumerate(vec):
+            if v:
+                j, t = divmod(i, s)
+                base = j * n
+                for l, a in enumerate(cols[t]):
+                    out[base + l] += a * v
+        return tuple(o % e for o, e in zip(out, orders))
+
+    return push
+
+
+def _inside(vectors, key) -> bool:
+    return not any(any(hermite_reduce(v, key)) for v in vectors)
+
+
+def _relation_images(push, term: InducedTerm) -> list[Vec]:
+    """Images of the rows of R(X)'s key; a row with pivot o_i is o_i*e_i
+    plus later rows, and o_i*e_i maps to zero, so it is skipped."""
+    return [push(row) for i, (row, o) in enumerate(zip(term.relations, term.orders))
+            if row[i] != o]
+
+
+def induced_exact(f: ModuleMap, g: ModuleMap, left: InducedTerm, middle: InducedTerm,
+                  right: InducedTerm, blocks: int) -> bool:
+    """Whether F(L) -> F(M) -> F(N), induced by L -f-> M -g-> N, is exact.
+
+    The checks of ``finmod.exactness_failure`` on the induced maps, read off
+    subgroup orders in raw coordinates, with no quotient module built:
+    g(f(G(L))) <= R(N), |f(G(L)) + R(M)| = |F(L)| |R(M)| (injective),
+    |g(G(M)) + R(N)| = |G(N)| (surjective) and |F(M)| = |F(L)| |F(N)|.
+    A map that does not carry G into G and R into R is a defect.
+    """
+    push_f, push_g = _blockwise(f, blocks), _blockwise(g, blocks)
+    f_gens = [push_f(v) for v in left.gens]
+    g_gens = [push_g(v) for v in middle.gens]
+    if not (_inside(f_gens, middle.carrier) and _inside(g_gens, right.carrier)
+            and _inside(_relation_images(push_f, left), middle.relations)
+            and _inside(_relation_images(push_g, middle), right.relations)):
+        raise InternalCheckError("induced map is ill-defined")
+    if not _inside(map(push_g, f_gens), right.relations):
+        return False
+    if (key_order(hermite_extend(middle.relations, f_gens, middle.orders), middle.orders)
+            != left.order * key_order(middle.relations, middle.orders)):
+        return False
+    if (key_order(hermite_extend(right.relations, g_gens, right.orders), right.orders)
+            != key_order(right.carrier, right.orders)):
+        return False
+    return middle.order == left.order * right.order
+
+
+@lru_cache(maxsize=16384)
+def fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
+    """F_u(X) = coker(Hom(a, X) -> Hom(b, X)) for u: b -> a, with Hom(b, X)
+    inside the X x b matrices, block j holding column j, the image of the
+    j-th generator of b.
+
+    Hom(Z/b_j, Z/x_k) is generated by x_k/gcd(x_k, b_j), so G(X) has the
+    diagonal key of those entries.  R(X) = Hom(a, X) o u is generated, one
+    vector per pair (k, i), by x_k/gcd(x_k, a_i) times row i of u, placed
+    at coordinate k of every block.
+    """
+    x = module.invariants
+    n = len(x)
+    orders = x * u.domain.ngens
+    steps = [xk // gcd(xk, bj) for bj in u.domain.invariants for xk in x]
+    w = len(orders)
+    carrier = tuple(tuple(c if i == j else 0 for j in range(w)) for i, c in enumerate(steps))
+    gens = tuple(row for row, c, o in zip(carrier, steps, orders) if c != o)
+    rels = []
+    for k, xk in enumerate(x):
+        for row, ai in zip(u.matrix.entries, u.codomain.invariants):
+            c = xk // gcd(xk, ai)
+            vec = [0] * w
+            for j, v in enumerate(row):
+                vec[j * n + k] = c * v
+            rels.append(vec)
+    relations = hermite_key(rels, orders)
+    order = prod(r[i] for i, r in enumerate(relations)) // prod(steps)
+    return InducedTerm(orders, gens, carrier, relations, order)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +355,25 @@ def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
     return tuple(s for s in snf_diagonal(rows, len(h), len(g) + len(h)) if s != 1)
 
 
+def _is_prime_power(d: int) -> bool:
+    p = divisors(d)[1]  # the least prime factor of d >= 2
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
 @lru_cache(maxsize=16)
 def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
     """Deterministic catalog of presentation maps u: b -> a, deduplicated by
-    the invariants of the induced functor on cyclic test modules
-    (``fp_invariants`` for every divisor of the modulus)."""
-    divs = divisors(modulus)
+    the invariants of the induced functor on the cyclic test modules Z/p^j,
+    p^j a prime power dividing the modulus (``fp_invariants``).
+
+    F_u is additive and Z/d is the sum of its primary parts Z/p^j, so
+    F_u(Z/d) is the sum of the F_u(Z/p^j): the prime powers fix the
+    invariants at every divisor, and deduplicating on them keeps the classes
+    of deduplicating on all divisors, member for member.
+    """
+    divs = [d for d in divisors(modulus) if d > 1 and _is_prime_power(d)]
     mods = _modules_with_bounded_gens(modulus, depth)
     catalog: list[ModuleMap] = []
     seen = set()

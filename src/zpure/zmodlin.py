@@ -27,7 +27,7 @@ domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -323,13 +323,18 @@ def hermite_key(vectors: Sequence[Sequence[int]], orders: Sequence[int]) -> tupl
     return _hermite_normalize(basis)
 
 
-def hermite_extend(key: Sequence[Sequence[int]], vec: Sequence[int],
+def hermite_extend(key: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
                    orders: Sequence[int]) -> tuple[Vec, ...]:
-    """``hermite_key(key + (vec,), orders)`` for a key made for ``orders``,
-    computed by inserting the one new vector into the key's rows."""
+    """``hermite_key(key + vectors, orders)`` for a key made for ``orders``,
+    computed by inserting only the new vectors into the key's rows."""
     basis = [list(r) for r in key]
-    _hermite_insert(basis, (vec,), orders)
+    _hermite_insert(basis, vectors, orders)
     return _hermite_normalize(basis)
+
+
+def key_order(key: Sequence[Sequence[int]], orders: Sequence[int]) -> int:
+    """The order of the subgroup of prod Z/o_i whose key is ``key``."""
+    return prod(orders) // prod(row[i] for i, row in enumerate(key))
 
 
 def _hermite_insert(basis: list[list[int]], vectors: Sequence[Sequence[int]],

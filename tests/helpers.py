@@ -7,6 +7,7 @@ from zpure.errors import InputError, InternalCheckError
 from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
+    ShortSequence,
     direct_sum,
     direct_sum_maps,
     tensor_pair_map,
@@ -74,6 +75,16 @@ def inverse(f: ModuleMap) -> ModuleMap:
     if (inv @ f) != ModuleMap.identity(f.domain):
         raise InternalCheckError("inverse verification failed")
     return inv
+
+
+def direct_sum_sequences(a: ShortSequence, b: ShortSequence) -> ShortSequence:
+    """The sum of two short exact sequences, term by term."""
+    ls = direct_sum([a.left, b.left])
+    ms = direct_sum([a.middle, b.middle])
+    rs = direct_sum([a.right, b.right])
+    f = direct_sum_maps([a.f, b.f], ls, ms)
+    g = direct_sum_maps([a.g, b.g], ms, rs)
+    return ShortSequence(ls.module, ms.module, rs.module, f, g)
 
 
 def zero_functor(cat: IndexCategoryD, variance: str = COVARIANT) -> FunctorOnD:

@@ -336,6 +336,85 @@ def reference_fp_catalog(modulus, depth):
     return tuple(catalog)
 
 
+# ---------------------------------------------------------------------------
+# The fp and pp checkers as first written: every induced sequence is built
+# from canonical quotient modules and validated module maps
+# (``zpure.funcat.fp_induced``, ``zpure.ppdef.induced_pp_map``) and judged by
+# ``zpure.finmod.is_exact``.  They are the references for the checkers of
+# ``zpure.purity``, which read exactness off subgroup orders.
+
+
+def reference_fp_functor_exact(u, seq):
+    """Exactness of F_u(L) -> F_u(M) -> F_u(N) through canonical maps."""
+    from zpure.finmod import is_exact
+    from zpure.funcat import fp_induced
+
+    return is_exact(fp_induced(u, seq.f), fp_induced(u, seq.g))
+
+
+def reference_pp_pair_exact(phi, psi, seq):
+    """Exactness of the sort-group sequence of phi/psi through canonical maps."""
+    from zpure.finmod import is_exact
+    from zpure.ppdef import PpPair, eval_pp, induced_pp_map, sort_group_from_subgroups
+
+    pair = PpPair.of(phi, psi)
+    mods = (seq.left, seq.middle, seq.right)
+    phi_subs = [eval_pp(phi, m) for m in mods]
+    psi_subs = [eval_pp(pair.psi, m) for m in mods]
+    if all(q.cardinality == p.cardinality for p, q in zip(phi_subs, psi_subs)):
+        return True  # all three sort groups vanish; trivially exact
+    sorts = [sort_group_from_subgroups(p, q, m) for p, q, m in zip(phi_subs, psi_subs, mods)]
+    f_ind = induced_pp_map(pair, seq.f, sorts[0], sorts[1])
+    g_ind = induced_pp_map(pair, seq.g, sorts[1], sorts[2])
+    return is_exact(f_ind, g_ind)
+
+
+def reference_eval_pp_gens(formula, module):
+    """Generators of phi(M), one ``kernel_mod`` call per invariant factor
+    of M, as ``zpure.ppdef.eval_pp`` first produced them."""
+    from zpure.zmodlin import kernel_mod
+
+    k, s = formula.free_count, module.ngens
+    combined = formula.a.hstack(formula.b)
+    gens = []
+    for t, d in enumerate(module.invariants):
+        for sol in kernel_mod(combined, [d] * formula.rows):
+            vec = [0] * (k * s)
+            for j in range(k):
+                vec[j * s + t] = sol[j] % d
+            if any(vec):
+                gens.append(tuple(vec))
+    return tuple(gens)
+
+
+def reference_check_fp_functors(seq, bounds):
+    """``zpure.purity.check_fp_functors`` through canonical induced maps."""
+    from zpure.purity import fp_catalog
+
+    for u in fp_catalog(seq.modulus, bounds.fp_depth):
+        if not reference_fp_functor_exact(u, seq):
+            return False, {
+                "kind": "fp_functor",
+                "map_domain": list(u.domain.invariants),
+                "map_codomain": list(u.codomain.invariants),
+                "matrix": u.matrix.tolists(),
+            }
+    return True, None
+
+
+def reference_check_pp_pairs(seq, bounds):
+    """``zpure.purity.check_pp_pairs`` through canonical induced maps."""
+    from zpure.ppdef import enumerate_pp, format_pp
+
+    catalog = enumerate_pp(seq.modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
+    for phi in catalog:
+        for psi in catalog:
+            if not reference_pp_pair_exact(phi, psi, seq):
+                return False, {"kind": "pp_pair",
+                               "phi": format_pp(phi), "psi": format_pp(psi)}
+    return True, None
+
+
 def reference_divisors(n):
     """Divisors of n in ascending order, by testing every candidate."""
     return [d for d in range(1, n + 1) if n % d == 0]

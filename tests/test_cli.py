@@ -158,6 +158,90 @@ def test_check_rejects_inexact_numbers(run_cli, tmp_path, key, value):
     assert "malformed sequence document" in err
 
 
+def _doc(**changes) -> bytes:
+    return json.dumps(dict(BUNDLED_EXAMPLES["z4-nonpure"], **changes)).encode()
+
+
+DOCUMENT_KEYS = ("modulus", "L", "M", "N", "f", "g")
+
+# (id, file contents, exit code): malformed JSON and unreadable text exit 3,
+# every parsed document the parser refuses exits 2
+MALFORMED_DOCUMENTS = [
+    ("top-list", json.dumps([BUNDLED_EXAMPLES["z4-nonpure"]]).encode(), 2),
+    ("top-number", b"4", 2),
+    ("top-null", b"null", 2),
+    ("modulus-list", _doc(modulus=[4]), 2),
+    ("modulus-nan", _doc(modulus=float("nan")), 2),
+    ("modulus-zero", _doc(modulus=0), 2),
+    ("modulus-negative", _doc(modulus=-4), 2),
+    ("modulus-huge", _doc(modulus=2 ** 200), 2),
+    ("modulus-huge-with-invariants",
+     json.dumps({"modulus": 2 ** 64, "L": [], "M": [2 ** 64], "N": [2 ** 64],
+                 "f": [[]], "g": [[1]]}).encode(), 2),
+    ("L-nested-list", _doc(L=[[2]]), 2),
+    ("M-number", _doc(M=4), 2),
+    ("invariant-huge", _doc(M=[4 ** 100]), 2),
+    ("invariant-negative", _doc(L=[-2]), 2),
+    ("invariant-zero", _doc(L=[0]), 2),
+    ("invariant-one", _doc(N=[1]), 2),
+    ("f-ragged", _doc(M=[2, 4], N=[4], f=[[1], [0, 1]], g=[[0, 1]]), 2),
+    ("f-oversized", _doc(f=[[2, 0], [0, 2]]), 2),
+    ("f-extra-column", _doc(f=[[2, 0]]), 2),
+    ("f-missing-row", _doc(f=[]), 2),
+    ("f-flat", _doc(f=[2]), 2),
+    ("f-three-levels", _doc(f=[[[2]]]), 2),
+    ("g-null-entry", _doc(g=[[None]]), 2),
+    ("missing-key", json.dumps({"modulus": 4}).encode(), 2),
+    ("not-json", b"{not json", 3),
+    ("empty-file", b"", 3),
+    ("deeply-nested", b"[" * 100000 + b"]" * 100000, 3),
+    ("not-utf8", b'{"modulus": \xff}', 3),
+] + [(f"{key}-{name}", _doc(**{key: value}), 2)
+     for key in DOCUMENT_KEYS for name, value in (("object", {"0": 2}), ("null", None))]
+
+
+@pytest.mark.parametrize("contents,expected", [row[1:] for row in MALFORMED_DOCUMENTS],
+                         ids=[row[0] for row in MALFORMED_DOCUMENTS])
+def test_check_fuzzed_documents_fail_cleanly(run_cli, tmp_path, contents, expected):
+    path = tmp_path / "doc.json"
+    path.write_bytes(contents)
+    code, out, err = run_cli("check", str(path))
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _lru_caches():
+    """Every lru_cache in the zpure modules: module functions and the
+    methods, class methods and static methods of their classes."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import zpure
+
+    for info in pkgutil.iter_modules(zpure.__path__):
+        module = importlib.import_module(f"zpure.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere; found in its own module
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                fn = getattr(member, "__func__", member)
+                if hasattr(fn, "cache_parameters"):
+                    yield ".".join(p for p in (module.__name__, name, attr) if p), fn
+
+
+def test_every_cache_is_bounded():
+    caches = dict(_lru_caches())
+    assert {"zpure.ppdef.PpPair.of", "zpure.ppdef.eval_pp", "zpure.purity.fp_term",
+            "zpure.finmod.hom_module"} <= set(caches)
+    unbounded = [name for name, fn in caches.items()
+                 if fn.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
+
+
 def test_roundtrip_documents():
     for name, doc in BUNDLED_EXAMPLES.items():
         seq = parse_sequence_document(doc)

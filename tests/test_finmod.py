@@ -18,7 +18,6 @@ from zpure.finmod import (
     canonical_from_cyclic_orders,
     divisors,
     direct_sum,
-    direct_sum_sequences,
     dual_map,
     dual_module,
     evaluation_map,
@@ -37,6 +36,7 @@ from zpure.finmod import (
 )
 from zpure.zmodlin import IntMatrix
 
+from helpers import direct_sum_sequences
 from oracles import (
     ReferenceModSolver,
     all_homs,

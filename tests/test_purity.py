@@ -4,20 +4,21 @@ import random
 
 import pytest
 
-from zpure.errors import InputError
+from zpure.errors import InputError, InternalCheckError
 from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
     ShortSequence,
     direct_sum,
-    direct_sum_sequences,
     divisors,
     is_split,
     random_hom,
     random_ses,
 )
 from zpure.purity import (
+    DEFAULT_BOUNDS,
     Bounds,
+    InducedTerm,
     check_dual_split,
     check_fp_functors,
     check_hom_lifting,
@@ -26,15 +27,27 @@ from zpure.purity import (
     check_tensor,
     equivalence_harness,
     fp_catalog,
+    fp_functor_exact,
     fp_invariants,
+    induced_exact,
+    pp_pair_exact,
     purity_report,
 )
 from zpure import purity
 from zpure.funcat import eval_fp_functor
-from zpure.ppdef import enumerate_pp
+from zpure.ppdef import PpPair, enumerate_pp, eval_pp
 
-from helpers import inverse
-from oracles import divisor_chains, reference_fp_candidates, reference_fp_catalog
+from helpers import direct_sum_sequences, inverse
+from oracles import (
+    divisor_chains,
+    reference_check_fp_functors,
+    reference_check_pp_pairs,
+    reference_eval_pp_gens,
+    reference_fp_candidates,
+    reference_fp_catalog,
+    reference_fp_functor_exact,
+    reference_pp_pair_exact,
+)
 
 
 def Z(n, *invs):
@@ -107,6 +120,69 @@ def test_fp_invariants_match_evaluation(modulus):
         for d in divs:
             expected = eval_fp_functor(u, CanonicalModule.cyclic(modulus, d)).invariants
             assert fp_invariants(u, d) == expected, (u, d)
+
+
+ORACLE_MODULI = (4, 8, 9, 12, 16, 24)
+
+
+def _oracle_sequences(modulus):
+    return [random_ses(modulus, seed=f"oracle:{i}", max_gens=3) for i in range(40)]
+
+
+@pytest.mark.parametrize("modulus", ORACLE_MODULI)
+def test_fp_verdicts_match_reference(modulus):
+    # exactness by subgroup orders against canonical induced maps, per map
+    catalog = fp_catalog(modulus, DEFAULT_BOUNDS.fp_depth)
+    for seq in _oracle_sequences(modulus):
+        for u in catalog:
+            assert fp_functor_exact(u, seq) == reference_fp_functor_exact(u, seq), (u, seq)
+
+
+@pytest.mark.parametrize("modulus", ORACLE_MODULI)
+def test_pp_verdicts_match_reference(modulus):
+    b = DEFAULT_BOUNDS
+    catalog = enumerate_pp(modulus, b.pp_free, b.pp_exists, b.pp_rows)
+    for seq in _oracle_sequences(modulus):
+        mods = (seq.left, seq.middle, seq.right)
+        for phi in catalog:
+            phis = [eval_pp(phi, m) for m in mods]
+            for psi in catalog:
+                psis = [eval_pp(PpPair.of(phi, psi).psi, m) for m in mods]
+                assert (pp_pair_exact(phis, psis, seq, phi.free_count)
+                        == reference_pp_pair_exact(phi, psi, seq)), (phi, psi, seq)
+
+
+@pytest.mark.parametrize("modulus", (4, 6, 8, 9, 12, 18))
+def test_checkers_match_reference(modulus):
+    # the checkers loop over the verdicts compared above; these moduli add
+    # 6 and 18 to the ones covered there
+    for seq in _oracle_sequences(modulus):
+        assert check_fp_functors(seq) == reference_check_fp_functors(seq, DEFAULT_BOUNDS)
+        assert check_pp_pairs(seq) == reference_check_pp_pairs(seq, DEFAULT_BOUNDS)
+
+
+@pytest.mark.parametrize("modulus", (4, 6, 8, 9, 12))
+def test_eval_pp_matches_direct_kernel(modulus):
+    catalog = enumerate_pp(modulus, 1, 2, 2)
+    formulas = set(catalog) | {PpPair.of(phi, psi).psi for phi in catalog for psi in catalog}
+    for chain in divisor_chains(modulus, 3):
+        module = Z(modulus, *chain)
+        for formula in formulas:
+            assert eval_pp(formula, module).gens == reference_eval_pp_gens(formula, module)
+
+
+def test_induced_exact_rejects_ill_defined_maps():
+    # terms of F(Z/4) = G/R by hand: a map that does not carry G into G or
+    # R into R gives no verdict but raises
+    ident = ModuleMap.identity(Z(4, 4))
+    whole = InducedTerm((4,), ((1,),), ((1,),), ((4,),), 4)     # Z/4 / 0
+    halved = InducedTerm((4,), ((2,),), ((2,),), ((4,),), 2)    # 2Z/4 / 0
+    mod_two = InducedTerm((4,), ((1,),), ((1,),), ((2,),), 2)   # Z/4 / 2Z/4
+    assert induced_exact(ident, ident, whole, whole, whole, blocks=1) is False
+    with pytest.raises(InternalCheckError, match="ill-defined"):
+        induced_exact(ident, ident, whole, halved, whole, blocks=1)
+    with pytest.raises(InternalCheckError, match="ill-defined"):
+        induced_exact(ident, ident, mod_two, whole, whole, blocks=1)
 
 
 def test_pp_checker_examples():

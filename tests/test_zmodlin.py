@@ -14,6 +14,7 @@ from zpure.zmodlin import (
     hermite_solve,
     hermite_system,
     kernel_mod,
+    key_order,
     solve_linear_mod,
     solve_mod_many,
 )
@@ -309,8 +310,19 @@ def test_hermite_extend_adds_one_vector():
         orders = _random_ambient(rng)
         vs = [tuple(rng.randint(-12, 12) for _ in orders) for _ in range(rng.randint(0, 3))]
         vec = tuple(rng.randint(-12, 12) for _ in orders)
-        assert hermite_extend(hermite_key(vs, orders), vec, orders) == \
+        assert hermite_extend(hermite_key(vs, orders), (vec,), orders) == \
             hermite_key(vs + [vec], orders), (vs, vec, orders)
+
+
+def test_hermite_extend_adds_several_vectors():
+    rng = random.Random("extend-many")
+    for _ in range(300):
+        orders = _random_ambient(rng)
+        vs = [tuple(rng.randint(-12, 12) for _ in orders) for _ in range(rng.randint(0, 3))]
+        new = [tuple(rng.randint(-12, 12) for _ in orders) for _ in range(rng.randint(0, 4))]
+        key = hermite_extend(hermite_key(vs, orders), new, orders)
+        assert key == hermite_key(vs + new, orders), (vs, new, orders)
+        assert key_order(key, orders) == len(span_mod(vs + new, orders))
 
 
 def test_hermite_key_rejects_order_zero():
