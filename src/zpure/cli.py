@@ -29,8 +29,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import InputError, InternalCheckError
-from .finmod import CanonicalModule, ModuleMap, ShortSequence
-from .purity import Bounds, HarnessSummary, PurityReport, equivalence_harness, purity_report
+from .finmod import CanonicalModule, ModuleMap, ShortSequence, divisors
+from .purity import (Bounds, HarnessSummary, PurityReport, check_fp_budget,
+                     equivalence_harness, purity_report)
 from .suites import run_all_suites
 from .zmodlin import IntMatrix
 
@@ -65,6 +66,17 @@ BUNDLED_EXAMPLES = {
 
 # `divisors` tries every candidate up to sqrt(N), about 10^6 steps here
 MAX_MODULUS = 10**12
+
+# `lemmas` works in the index category D, one object per divisor of N, which
+# holds d(N)^3 composition coefficients and checks d(N)^4 object quadruples.
+# N=2520 has 48 objects (110,592 coefficients, 5.3 million quadruples) and one
+# trial of every suite takes about 30 s; more objects are refused unbuilt.
+MAX_LEMMA_OBJECTS = 48
+
+
+def _check_modulus(modulus: int) -> None:
+    if modulus > MAX_MODULUS:
+        raise InputError(f"modulus {modulus} exceeds the supported {MAX_MODULUS}")
 
 
 def _exact_int(value, key: str) -> int:
@@ -101,8 +113,7 @@ def parse_sequence_document(doc: dict) -> ShortSequence:
         g_rows = _int_rows(doc["g"], "g")
     except KeyError as exc:
         raise InputError(f"malformed sequence document: missing key {exc}")
-    if modulus > MAX_MODULUS:
-        raise InputError(f"modulus {modulus} exceeds the supported {MAX_MODULUS}")
+    _check_modulus(modulus)
     left = CanonicalModule(modulus, tuple(inv_l))
     middle = CanonicalModule(modulus, tuple(inv_m))
     right = CanonicalModule(modulus, tuple(inv_n))
@@ -204,6 +215,7 @@ def cmd_check(args) -> int:
         seq = parse_sequence_document(doc)
         bounds = _bounds_from_args(args)
         bounds.validate()
+        check_fp_budget(seq.modulus, bounds.fp_depth)
     except InputError as exc:
         print(f"error: invalid sequence: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -218,6 +230,7 @@ def cmd_check(args) -> int:
 
 def cmd_random(args) -> int:
     try:
+        _check_modulus(args.modulus)
         bounds = _bounds_from_args(args)
         summary = equivalence_harness(args.modulus, args.trials, args.seed,
                                       bounds=bounds, jobs=args.jobs,
@@ -237,6 +250,11 @@ def cmd_lemmas(args) -> int:
     try:
         if args.modulus < 1 or args.trials < 1:
             raise InputError("modulus and trials must be positive")
+        _check_modulus(args.modulus)
+        objects = len(divisors(args.modulus))
+        if objects > MAX_LEMMA_OBJECTS:
+            raise InputError(f"modulus {args.modulus} has {objects} divisors, over the "
+                             f"{MAX_LEMMA_OBJECTS} objects the lemma suites support")
         results = run_all_suites(args.modulus, args.trials, args.seed)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
 from .finmod import (
@@ -69,16 +70,20 @@ class IndexCategoryD:
     modulus: int
     objects: tuple[int, ...]
     _coeffs: dict = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _gen_maps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objs = self.objects
         object.__setattr__(self, "_coeffs", {(d, e, f): _coefficient(d, e, f)
                                              for d in objs for e in objs for f in objs})
+        object.__setattr__(self, "_index", {d: i for i, d in enumerate(objs)})
+        object.__setattr__(self, "_gen_maps", {})
 
     def index_of(self, d: int) -> int:
         try:
-            return self.objects.index(d)
-        except ValueError:
+            return self._index[d]
+        except KeyError:
             raise InputError(f"{d} is not an object (divisor of {self.modulus})")
 
     def cyclic(self, d: int) -> CanonicalModule:
@@ -92,10 +97,14 @@ class IndexCategoryD:
         return e // gcd(d, e)
 
     def gen_map(self, d: int, e: int) -> ModuleMap:
-        dom, cod = self.cyclic(d), self.cyclic(e)
-        if dom.is_zero() or cod.is_zero():
-            return ModuleMap.zero(dom, cod)
-        return ModuleMap.from_rows(dom, cod, [[self.gen_image(d, e)]])
+        """g_{d,e} as a map; built once per pair (at most d(N)^2 of them)."""
+        m = self._gen_maps.get((d, e))
+        if m is None:
+            dom, cod = self.cyclic(d), self.cyclic(e)
+            m = ModuleMap.zero(dom, cod) if dom.is_zero() or cod.is_zero() else \
+                ModuleMap.from_rows(dom, cod, [[self.gen_image(d, e)]])
+            self._gen_maps[d, e] = m
+        return m
 
     def comp_coeff(self, d: int, e: int, f: int) -> int:
         """Coefficient c with g_{e,f} o g_{d,e} == c * g_{d,f} (c mod gcd(d, f))."""
@@ -176,20 +185,21 @@ class FunctorOnD:
                        for v in row):
                     raise InputError("action violates hom-group torsion")
         rows = [a.matrix.entries for a in self.actions]
-        cols = [a.matrix.transpose().entries for a in self.actions]
+        cols = [a.matrix.columns() for a in self.actions]
+        comp = cat.comp_coeff
         for i, d in enumerate(objs):
-            for j, e in enumerate(objs):
-                for k, f in enumerate(objs):
-                    target = rows[i * n + k]
-                    if not target or not target[0]:
-                        continue  # a map from or to zero
-                    c = cat.comp_coeff(d, e, f)
+            for k, f in enumerate(objs):
+                target = rows[i * n + k]
+                if not target or not target[0]:
+                    continue  # a map from or to zero
+                mods = self.values[k if cov else i].invariants
+                for j, e in enumerate(objs):
+                    c = comp(d, e, f)
                     outer, inner = (rows[j * n + k], cols[i * n + j]) if cov else \
                         (rows[i * n + j], cols[j * n + k])
-                    mods = self.values[k if cov else i].invariants
                     for row, trow, m in zip(outer, target, mods):
                         for col, t in zip(inner, trow):
-                            if (sum(a * b for a, b in zip(row, col)) - c * t) % m:
+                            if (sum(map(mul, row, col)) - c * t) % m:
                                 raise InputError("functor violates the composition table")
 
 
@@ -205,24 +215,73 @@ def functor_from_values(cat: IndexCategoryD, variance: str,
 # Hom-group plumbing
 
 
+def _carriers(hom: HomModule) -> list[list[tuple[int, int]]]:
+    """(order g, step e/g) of each raw hom coordinate, one row per target
+    generator of order e: coordinate c stands for the matrix entry c*(e/g)."""
+    k = hom.source.ngens
+    return [[(g, e // g) for g in hom.orders[i * k:(i + 1) * k]]
+            for i, e in enumerate(hom.target.invariants)]
+
+
+def _hom_push(hsrc: HomModule, hdst: HomModule, columns: Sequence[Sequence[int]],
+              left: Optional[IntMatrix] = None, right: Optional[IntMatrix] = None,
+              proj: Optional[ModuleMap] = None) -> list[Vec]:
+    """Coordinates in hdst of h -> left @ h @ right, for each element h of
+    hsrc in ``columns``, pushed on to proj's codomain when proj is given.
+
+    This is ``hdst.from_map(left @ hsrc.to_map(h) @ right)`` on integer
+    tables: lift to raw hom coordinates, rebuild the entries (c mod g)*(e/g),
+    multiply, reduce mod the target invariants, divide by each carrier step,
+    then project.  Composites of well-defined maps are well defined, so no
+    intermediate ModuleMap is built; the carrier check still runs.
+    """
+    k = hsrc.source.ngens
+    steps, steps2 = _carriers(hsrc), _carriers(hdst)
+    lift = hsrc.pres.lift.entries
+    lrows = None if left is None else left.entries
+    rcols = None if right is None else right.columns()
+    stages = [(hdst.pres.project.entries, hdst.module.invariants)]
+    if proj is not None:
+        stages.append((proj.matrix.entries, proj.codomain.invariants))
+    out = []
+    for x in columns:
+        raw = iter([sum(map(mul, row, x)) for row in lift])
+        h = [[(next(raw) % g) * s for g, s in row] for row in steps]
+        if lrows is not None:
+            h = [[sum(a * r[j] for a, r in zip(lrow, h)) for j in range(k)] for lrow in lrows]
+        if rcols is not None:
+            h = [[sum(map(mul, row, c)) for c in rcols] for row in h]
+        coords = []
+        for row, srow, e in zip(h, steps2, hdst.target.invariants):
+            for a, (g, step) in zip(row, srow):
+                a %= e
+                if a % step:
+                    raise InternalCheckError("hom entry outside the cyclic carrier")
+                coords.append((a // step) % g)
+        for mat, invs in stages:
+            coords = tuple(sum(map(mul, row, coords)) % m for row, m in zip(mat, invs))
+        out.append(coords)
+    return out
+
+
+def _generators(module: CanonicalModule) -> list[Vec]:
+    return [module.generator(i) for i in range(module.ngens)]
+
+
 def postcompose(v: ModuleMap, source: CanonicalModule) -> ModuleMap:
     """Hom(source, dom v) -> Hom(source, cod v), h -> v o h."""
     hsrc = hom_module(source, v.domain)
     hdst = hom_module(source, v.codomain)
-    cols = [hdst.from_map(v @ hsrc.to_map(hsrc.module.generator(i)))
-            for i in range(hsrc.module.ngens)]
-    mat = IntMatrix.from_columns(cols, hdst.module.ngens)
-    return ModuleMap(hsrc.module, hdst.module, mat)
+    cols = _hom_push(hsrc, hdst, _generators(hsrc.module), left=v.matrix)
+    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
 
 
 def precompose(u: ModuleMap, target: CanonicalModule) -> ModuleMap:
     """Hom(cod u, target) -> Hom(dom u, target), h -> h o u."""
     hsrc = hom_module(u.codomain, target)
     hdst = hom_module(u.domain, target)
-    cols = [hdst.from_map(hsrc.to_map(hsrc.module.generator(i)) @ u)
-            for i in range(hsrc.module.ngens)]
-    mat = IntMatrix.from_columns(cols, hdst.module.ngens)
-    return ModuleMap(hsrc.module, hdst.module, mat)
+    cols = _hom_push(hsrc, hdst, _generators(hsrc.module), right=u.matrix)
+    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +330,10 @@ def tensor_functor(cat: IndexCategoryD, y: CanonicalModule) -> FunctorOnD:
     def value_of(d):
         return tensor_modules(y, cat.cyclic(d)).module
 
+    id_y = ModuleMap.identity(y)
+
     def action_of(d, e):
-        return tensor_pair_map(ModuleMap.identity(y), cat.gen_map(d, e))
+        return tensor_pair_map(id_y, cat.gen_map(d, e))
 
     return functor_from_values(cat, COVARIANT, value_of, action_of)
 
@@ -319,21 +380,19 @@ def eval_fp_functor(u: ModuleMap, c: CanonicalModule,
     return fp_value(u, c, variance).module
 
 
+def _fp_action(src: FpValue, dst: FpValue, f: ModuleMap, variance: str) -> ModuleMap:
+    """The map src -> dst that f induces on two values of one fp functor."""
+    side = {"left" if variance == COVARIANT else "right": f.matrix}
+    cols = _hom_push(src.hom, dst.hom, src.lift.columns(), proj=dst.proj, **side)
+    return ModuleMap(src.module, dst.module, IntMatrix.from_columns(cols, dst.module.ngens))
+
+
 def fp_induced(u: ModuleMap, f: ModuleMap, variance: str = COVARIANT) -> ModuleMap:
     """F_u(dom f) -> F_u(cod f) (reversed for the contravariant functor)."""
-    if variance == COVARIANT:
-        src = fp_value(u, f.domain, variance)
-        dst = fp_value(u, f.codomain, variance)
-    else:
-        src = fp_value(u, f.codomain, variance)
-        dst = fp_value(u, f.domain, variance)
-    cols = []
-    for i in range(src.module.ngens):
-        rep = src.hom.to_map(src.lift.col(i))
-        moved = (f @ rep) if variance == COVARIANT else (rep @ f)
-        cols.append(dst.proj.apply(dst.hom.from_map(moved)))
-    mat = IntMatrix.from_columns(cols, dst.module.ngens)
-    return ModuleMap(src.module, dst.module, mat)
+    src, dst = f.domain, f.codomain
+    if variance != COVARIANT:
+        src, dst = dst, src
+    return _fp_action(fp_value(u, src, variance), fp_value(u, dst, variance), f, variance)
 
 
 def fp_functor_from_map(u: ModuleMap, cat: IndexCategoryD,
@@ -341,10 +400,13 @@ def fp_functor_from_map(u: ModuleMap, cat: IndexCategoryD,
     """The finitely presented functor presented by u, as a functor on D."""
     if u.domain.modulus != cat.modulus:
         raise InputError("map modulus does not match the category")
-    return functor_from_values(
-        cat, variance,
-        lambda d: fp_value(u, cat.cyclic(d), variance).module,
-        lambda d, e: fp_induced(u, cat.gen_map(d, e), variance))
+    vals = {d: fp_value(u, cat.cyclic(d), variance) for d in cat.objects}
+
+    def action_of(d, e):
+        src, dst = (d, e) if variance == COVARIANT else (e, d)
+        return _fp_action(vals[src], vals[dst], cat.gen_map(d, e), variance)
+
+    return functor_from_values(cat, variance, lambda d: vals[d].module, action_of)
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +439,46 @@ def coend_tensor(G: FunctorOnD, F: FunctorOnD) -> CoendResult:
         orders.extend(t.module.invariants)
     total = len(orders)
 
+    # The relation of (x in G(e), y in F(d)) is G(g_{d,e})x (x) y at d minus
+    # x (x) F(g_{d,e})y at e.  Each pure tensor with one generator factor is
+    # read straight off the tensor presentation's project columns and reduced
+    # as TensorModule.pure reduces it.
+    project_cols = [t.pres.project.columns() for t in tensors]
+
+    def pure_with_generator(i: int, vec: Vec, start: int, stride: int) -> list[int]:
+        t, cols = tensors[i], project_cols[i]
+        img = [0] * t.module.ngens
+        for idx, v in zip(range(start, start + stride * len(vec), stride), vec):
+            c = v % t.orders[idx]
+            if c:
+                img = [s + a * c for s, a in zip(img, cols[idx])]
+        return [v % m for v, m in zip(img, t.module.invariants)]
+
+    n = len(cat.objects)
     rel_cols: list[list[int]] = []
-    for i_d, d in enumerate(cat.objects):
-        for i_e, e in enumerate(cat.objects):
-            if d == e:
+    for i_d in range(n):
+        fd, off_d = F.values[i_d], offsets[i_d]
+        for i_e in range(n):
+            ge, off_e = G.values[i_e], offsets[i_e]
+            if i_d == i_e or ge.is_zero() or fd.is_zero():
                 continue
-            ge, fd = G.value(e), F.value(d)
-            if ge.is_zero() or fd.is_zero():
-                continue
-            g_act = G.action(d, e)     # G(e) -> G(d)
-            f_act = F.action(d, e)     # F(d) -> F(e)
-            for x in range(ge.ngens):
-                gx = g_act.apply(ge.generator(x))
-                for y in range(fd.ngens):
-                    fy = f_act.apply(fd.generator(y))
-                    left = tensors[i_d].pure(gx, fd.generator(y))
-                    right = tensors[i_e].pure(ge.generator(x), fy)
-                    col = [0] * total
-                    for i, v in enumerate(left):
-                        col[offsets[i_d] + i] += v
-                    for i, v in enumerate(right):
-                        col[offsets[i_e] + i] -= v
-                    if any(col):
+            g_cols = G.actions[i_d * n + i_e].matrix.columns()     # G(e) -> G(d)
+            f_cols = F.actions[i_d * n + i_e].matrix.columns()     # F(d) -> F(e)
+            r_d, r_e = fd.ngens, F.values[i_e].ngens
+            for x, gx in enumerate(g_cols):
+                for y, fy in enumerate(f_cols):
+                    left = pure_with_generator(i_d, gx, y, r_d)
+                    right = pure_with_generator(i_e, fy, x * r_e, 1)
+                    if any(left) or any(right):
+                        col = [0] * total
+                        col[off_d:off_d + len(left)] = left
+                        col[off_e:off_e + len(right)] = [-v for v in right]
                         rel_cols.append(col)
     for i, o in enumerate(orders):
         col = [0] * total
         col[i] = o
         rel_cols.append(col)
-    rel = IntMatrix(total, len(rel_cols),
-                    tuple(tuple(c[i] for c in rel_cols) for i in range(total)))
+    rel = IntMatrix(total, len(rel_cols), tuple(zip(*rel_cols)))
     pres = normalize_presentation(rel, cat.modulus)
     injections = []
     for i_d, t in enumerate(tensors):
@@ -525,44 +598,51 @@ def nat_transformations(F: FunctorOnD, H: FunctorOnD) -> NatModule:
         orders.extend(h.module.invariants)
     total = len(orders)
 
-    gen_maps = [[h.to_map(h.module.generator(j)) for j in range(h.module.ngens)]
-                for h in homs]
+    gen_mats = [[h.to_map(g).matrix for g in _generators(h.module)] for h in homs]
+
+    def product(a: IntMatrix, b: IntMatrix, mods, sign: int) -> list[list[int]]:
+        """sign * a @ b, each row reduced mod its modulus as ModuleMap does."""
+        b_cols = b.columns()
+        return [[(sign * sum(map(mul, row, col))) % m for col in b_cols]
+                for row, m in zip(a.entries, mods)]
 
     rows: list[list[int]] = []
     moduli: list[int] = []
     cov = F.is_covariant()
-    for i_d, d in enumerate(cat.objects):
-        for i_e, e in enumerate(cat.objects):
-            if d == e:
+    n = len(cat.objects)
+    for i_d in range(n):
+        for i_e in range(n):
+            if i_d == i_e:
                 continue
-            f_act = F.action(d, e)
-            h_act = H.action(d, e)
+            f_act = F.actions[i_d * n + i_e].matrix
+            h_act = H.actions[i_d * n + i_e].matrix
             # naturality against g_{d,e} is an equation in Hom(dom_val, cod_val)
             if cov:
-                dom_val, cod_val = F.value(d), H.value(e)
+                dom_val, cod_val = F.values[i_d], H.values[i_e]
                 i_first, i_second = i_d, i_e
             else:
-                dom_val, cod_val = F.value(e), H.value(d)
+                dom_val, cod_val = F.values[i_e], H.values[i_d]
                 i_first, i_second = i_e, i_d
             if dom_val.is_zero() or cod_val.is_zero():
                 continue
-            contrib: dict[int, ModuleMap] = {}
-            for j, gm in enumerate(gen_maps[i_first]):
-                contrib[offsets[i_first] + j] = h_act @ gm
-            for j, gm in enumerate(gen_maps[i_second]):
-                contrib[offsets[i_second] + j] = (gm @ f_act).scale(-1)
+            mods = cod_val.invariants
+            contrib: dict[int, list[list[int]]] = {}
+            for j, gm in enumerate(gen_mats[i_first]):
+                contrib[offsets[i_first] + j] = product(h_act, gm, mods, 1)
+            for j, gm in enumerate(gen_mats[i_second]):
+                contrib[offsets[i_second] + j] = product(gm, f_act, mods, -1)
             for r in range(cod_val.ngens):
                 for c in range(dom_val.ngens):
                     row = [0] * total
                     nonzero = False
                     for key, mp in contrib.items():
-                        v = mp.matrix.entries[r][c]
+                        v = mp[r][c]
                         if v:
                             row[key] = v
                             nonzero = True
                     if nonzero:
                         rows.append(row)
-                        moduli.append(cod_val.invariants[r])
+                        moduli.append(mods[r])
     gens = hermite_kernel(rows, moduli, total)
     sub = Subgroup(tuple(orders), cat.modulus, tuple(gens))
     return NatModule(F, H, sub.module, sub, homs, tuple(offsets))
@@ -584,27 +664,30 @@ def hom_tensor_duality_map(G: FunctorOnD, F: FunctorOnD) -> tuple[ModuleMap, Nat
     g_star = dual_functor(G)
     nat = nat_transformations(F, g_star)
     N = cat.modulus
+    # images[i_d][p][q] = inj_d(pure(p-th generator of G(d), q-th of F(d)))
+    images = []
+    for i_d, d in enumerate(cat.objects):
+        gd, fd = G.value(d), F.value(d)
+        tmod, inj = tensor_modules(gd, fd), coend.injections[i_d]
+        images.append([[inj.apply(tmod.pure(gd.generator(p), fd.generator(q)))
+                        for q in range(fd.ngens)] for p in range(gd.ngens)])
     cols = []
     for t in range(c_star.module.ngens):
-        order_t = coend.group.invariants[t]
+        scale = N // coend.group.invariants[t]
         fams = []
         for i_d, d in enumerate(cat.objects):
-            gd, fd = G.value(d), F.value(d)
-            dual_gd = g_star.value(d)
-            tmod = tensor_modules(gd, fd)
-            inj = coend.injections[i_d]
+            fd, dual_gd = F.value(d), g_star.value(d)
             rows = []
-            for p in range(gd.ngens):
+            for zrow, inv in zip(images[i_d], dual_gd.invariants):
+                step = N // inv
                 row = []
-                for q in range(fd.ngens):
-                    z = inj.apply(tmod.pure(gd.generator(p), fd.generator(q)))
-                    w = (z[t] * (N // order_t)) % N
-                    step = N // dual_gd.invariants[p]
+                for z in zrow:
+                    w = (z[t] * scale) % N
                     if w % step:
                         raise InternalCheckError("duality character escapes the torsion carrier")
-                    row.append((w // step) % dual_gd.invariants[p])
+                    row.append((w // step) % inv)
                 rows.append(tuple(row))
-            fams.append(ModuleMap(fd, dual_gd, IntMatrix(gd.ngens, fd.ngens, tuple(rows))))
+            fams.append(ModuleMap(fd, dual_gd, IntMatrix(dual_gd.ngens, fd.ngens, tuple(rows))))
         cols.append(nat.from_family(fams))
     mat = IntMatrix.from_columns(cols, nat.module.ngens)
     return ModuleMap(c_star.module, nat.module, mat), nat

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
@@ -362,6 +361,35 @@ def _is_prime_power(d: int) -> bool:
     return d == 1
 
 
+# fp_catalog signs every pair (b, a) of modules with at most ``depth``
+# generators.  N=360 at depth 2 has 32,400 pairs and builds in about 20 s on
+# a 2-core machine; counts over this budget are refused before any build.
+MAX_FP_PAIRS = 40_000
+
+
+def fp_catalog_pairs(modulus: int, depth: int) -> int:
+    """len(_modules_with_bounded_gens(modulus, depth)) ** 2, counted without
+    building a module: chains ending at e extend those ending at each d | e.
+    Counting stops at the first chain length whose total passes the budget,
+    so a count over MAX_FP_PAIRS is a lower bound."""
+    divs = [d for d in divisors(modulus) if d >= 2]
+    total, ends = 1, [1] * len(divs)
+    for level in range(depth if divs else 0):
+        if level:
+            ends = [sum(c for c, d in zip(ends, divs) if e % d == 0) for e in divs]
+        total += sum(ends)
+        if total * total > MAX_FP_PAIRS:
+            break
+    return total * total
+
+
+def check_fp_budget(modulus: int, depth: int) -> None:
+    pairs = fp_catalog_pairs(modulus, depth)
+    if pairs > MAX_FP_PAIRS:
+        raise InputError(f"the fp catalog at modulus {modulus} and depth {depth} has at "
+                         f"least {pairs} module pairs, over the budget of {MAX_FP_PAIRS}")
+
+
 @lru_cache(maxsize=16)
 def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
     """Deterministic catalog of presentation maps u: b -> a, deduplicated by
@@ -373,6 +401,7 @@ def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
     invariants at every divisor, and deduplicating on them keeps the classes
     of deduplicating on all divisors, member for member.
     """
+    check_fp_budget(modulus, depth)
     divs = [d for d in divisors(modulus) if d > 1 and _is_prime_power(d)]
     mods = _modules_with_bounded_gens(modulus, depth)
     catalog: list[ModuleMap] = []
@@ -491,12 +520,16 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
     if max_gens < 0:
         raise InputError("max_gens must be >= 0")
     bounds.validate()
+    check_fp_budget(modulus, bounds.fp_depth)
     # built here, before any fork, so pool workers inherit warm catalogs
     enumerate_pp(modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
     fp_catalog(modulus, bounds.fp_depth)
     tasks = [(modulus, seed, i, bounds, max_gens) for i in range(trials)]
     workers = harness_workers(jobs, trials)
     if workers > 1:
+        # imported here: the import costs 10-20 ms, which --jobs 1 never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_harness_trial, tasks,
                                     chunksize=max(1, trials // (4 * workers))))

@@ -99,14 +99,15 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def col(self, j: int) -> Vec:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:

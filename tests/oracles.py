@@ -579,3 +579,220 @@ def reference_row_echelon(rows, width):
         work = rest
         col += 1
     return out
+
+
+# The functor-category constructions as first written: every hom element is
+# realized as a validated ``ModuleMap``, composed, and read back through
+# ``HomModule.from_map``; every coend relation goes through
+# ``TensorModule.pure``.  They are the references for ``zpure.funcat``, which
+# computes the same matrices on integer tables.
+
+
+def reference_gen_map(cat, d, e):
+    """g_{d,e}: Z/d -> Z/e, sending 1 to e / gcd(d, e), built afresh."""
+    from zpure.finmod import ModuleMap
+
+    dom, cod = cat.cyclic(d), cat.cyclic(e)
+    if dom.is_zero() or cod.is_zero():
+        return ModuleMap.zero(dom, cod)
+    return ModuleMap.from_rows(dom, cod, [[e // gcd(d, e)]])
+
+
+def reference_postcompose(v, source):
+    """Hom(source, dom v) -> Hom(source, cod v), h -> v o h."""
+    from zpure.finmod import ModuleMap, hom_module
+    from zpure.zmodlin import IntMatrix
+
+    hsrc = hom_module(source, v.domain)
+    hdst = hom_module(source, v.codomain)
+    cols = [hdst.from_map(v @ hsrc.to_map(hsrc.module.generator(i)))
+            for i in range(hsrc.module.ngens)]
+    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
+
+
+def reference_precompose(u, target):
+    """Hom(cod u, target) -> Hom(dom u, target), h -> h o u."""
+    from zpure.finmod import ModuleMap, hom_module
+    from zpure.zmodlin import IntMatrix
+
+    hsrc = hom_module(u.codomain, target)
+    hdst = hom_module(u.domain, target)
+    cols = [hdst.from_map(hsrc.to_map(hsrc.module.generator(i)) @ u)
+            for i in range(hsrc.module.ngens)]
+    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
+
+
+def reference_fp_value(u, c, variance="covariant"):
+    """``zpure.funcat.fp_value`` through the reference hom pushes, uncached."""
+    from zpure.finmod import hom_module, quotient_by_subgroup
+    from zpure.funcat import FpValue
+
+    if variance == "covariant":
+        induced, hom = reference_precompose(u, c), hom_module(u.domain, c)
+    else:
+        induced, hom = reference_postcompose(u, c), hom_module(c, u.codomain)
+    module, proj, lift = quotient_by_subgroup(induced.codomain, induced.image())
+    return FpValue(module, proj, lift, hom)
+
+
+def reference_fp_induced(u, f, variance="covariant"):
+    """F_u(dom f) -> F_u(cod f) (reversed when contravariant), element by element."""
+    from zpure.finmod import ModuleMap
+    from zpure.zmodlin import IntMatrix
+
+    if variance == "covariant":
+        src, dst = reference_fp_value(u, f.domain, variance), reference_fp_value(u, f.codomain, variance)
+    else:
+        src, dst = reference_fp_value(u, f.codomain, variance), reference_fp_value(u, f.domain, variance)
+    cols = []
+    for i in range(src.module.ngens):
+        rep = src.hom.to_map(src.lift.col(i))
+        moved = (f @ rep) if variance == "covariant" else (rep @ f)
+        cols.append(dst.proj.apply(dst.hom.from_map(moved)))
+    return ModuleMap(src.module, dst.module, IntMatrix.from_columns(cols, dst.module.ngens))
+
+
+def reference_fp_functor_from_map(u, cat, variance="covariant"):
+    from zpure.funcat import functor_from_values
+
+    return functor_from_values(
+        cat, variance,
+        lambda d: reference_fp_value(u, cat.cyclic(d), variance).module,
+        lambda d, e: reference_fp_induced(u, reference_gen_map(cat, d, e), variance))
+
+
+def reference_restrict_module(cat, c):
+    from zpure.finmod import hom_module
+    from zpure.funcat import functor_from_values
+
+    return functor_from_values(
+        cat, "contravariant",
+        lambda d: hom_module(cat.cyclic(d), c).module,
+        lambda d, e: reference_precompose(reference_gen_map(cat, d, e), c))
+
+
+def reference_tensor_functor(cat, y):
+    from zpure.finmod import ModuleMap, tensor_modules, tensor_pair_map
+    from zpure.funcat import functor_from_values
+
+    return functor_from_values(
+        cat, "covariant",
+        lambda d: tensor_modules(y, cat.cyclic(d)).module,
+        lambda d, e: tensor_pair_map(ModuleMap.identity(y), reference_gen_map(cat, d, e)))
+
+
+def reference_dual_functor(F):
+    from zpure.finmod import dual_map, dual_module
+    from zpure.funcat import functor_from_values
+
+    objs = F.category.objects
+    n = len(objs)
+    return functor_from_values(
+        F.category, "contravariant" if F.is_covariant() else "covariant",
+        lambda d: dual_module(F.values[objs.index(d)]).module,
+        lambda d, e: dual_map(F.actions[objs.index(d) * n + objs.index(e)]))
+
+
+def reference_coend_tensor(G, F):
+    """Coend of G and F with every relation built from ``TensorModule.pure``."""
+    from zpure.finmod import ModuleMap, normalize_presentation, tensor_modules
+    from zpure.funcat import CoendResult
+    from zpure.zmodlin import IntMatrix
+
+    cat = G.category
+    objs = cat.objects
+    n = len(objs)
+    tensors = [tensor_modules(G.values[i], F.values[i]) for i in range(n)]
+    offsets, orders = [], []
+    for t in tensors:
+        offsets.append(len(orders))
+        orders.extend(t.module.invariants)
+    total = len(orders)
+    rel_cols = []
+    for i_d in range(n):
+        for i_e in range(n):
+            if i_d == i_e:
+                continue
+            ge, fd = G.values[i_e], F.values[i_d]
+            if ge.is_zero() or fd.is_zero():
+                continue
+            g_act, f_act = G.actions[i_d * n + i_e], F.actions[i_d * n + i_e]
+            for x in range(ge.ngens):
+                gx = g_act.apply(ge.generator(x))
+                for y in range(fd.ngens):
+                    fy = f_act.apply(fd.generator(y))
+                    left = tensors[i_d].pure(gx, fd.generator(y))
+                    right = tensors[i_e].pure(ge.generator(x), fy)
+                    col = [0] * total
+                    for i, v in enumerate(left):
+                        col[offsets[i_d] + i] += v
+                    for i, v in enumerate(right):
+                        col[offsets[i_e] + i] -= v
+                    if any(col):
+                        rel_cols.append(col)
+    for i, o in enumerate(orders):
+        col = [0] * total
+        col[i] = o
+        rel_cols.append(col)
+    rel = IntMatrix(total, len(rel_cols),
+                    tuple(tuple(c[i] for c in rel_cols) for i in range(total)))
+    pres = normalize_presentation(rel, cat.modulus)
+    injections = []
+    for i_d, t in enumerate(tensors):
+        k = t.module.ngens
+        mat = IntMatrix(pres.module.ngens, k,
+                        tuple(tuple(pres.project.entries[r][offsets[i_d] + j] for j in range(k))
+                              for r in range(pres.module.ngens)))
+        injections.append(ModuleMap(t.module, pres.module, mat))
+    return CoendResult(pres.module, tuple(injections), tuple(offsets), tuple(orders), pres)
+
+
+def reference_nat_transformations(F, H):
+    """``zpure.funcat.nat_transformations`` with every naturality term built
+    as a composite of validated ``ModuleMap``s."""
+    from zpure.finmod import Subgroup, hom_module
+    from zpure.funcat import NatModule
+    from zpure.zmodlin import hermite_kernel
+
+    cat = F.category
+    objs = cat.objects
+    n = len(objs)
+    homs = tuple(hom_module(F.values[i], H.values[i]) for i in range(n))
+    offsets, orders = [], []
+    for h in homs:
+        offsets.append(len(orders))
+        orders.extend(h.module.invariants)
+    total = len(orders)
+    gen_maps = [[h.to_map(h.module.generator(j)) for j in range(h.module.ngens)]
+                for h in homs]
+    rows, moduli = [], []
+    cov = F.is_covariant()
+    for i_d in range(n):
+        for i_e in range(n):
+            if i_d == i_e:
+                continue
+            f_act, h_act = F.actions[i_d * n + i_e], H.actions[i_d * n + i_e]
+            if cov:
+                dom_val, cod_val = F.values[i_d], H.values[i_e]
+                i_first, i_second = i_d, i_e
+            else:
+                dom_val, cod_val = F.values[i_e], H.values[i_d]
+                i_first, i_second = i_e, i_d
+            if dom_val.is_zero() or cod_val.is_zero():
+                continue
+            contrib = {}
+            for j, gm in enumerate(gen_maps[i_first]):
+                contrib[offsets[i_first] + j] = h_act @ gm
+            for j, gm in enumerate(gen_maps[i_second]):
+                contrib[offsets[i_second] + j] = (gm @ f_act).scale(-1)
+            for r in range(cod_val.ngens):
+                for c in range(dom_val.ngens):
+                    row = [0] * total
+                    for key, mp in contrib.items():
+                        row[key] = mp.matrix.entries[r][c]
+                    if any(row):
+                        rows.append(row)
+                        moduli.append(cod_val.invariants[r])
+    gens = hermite_kernel(rows, moduli, total)
+    sub = Subgroup(tuple(orders), cat.modulus, tuple(gens))
+    return NatModule(F, H, sub.module, sub, homs, tuple(offsets))

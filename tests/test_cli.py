@@ -6,14 +6,18 @@ from pathlib import Path
 
 import pytest
 
+from zpure import cli
 from zpure.cli import (
     BUNDLED_EXAMPLES,
+    MAX_LEMMA_OBJECTS,
+    MAX_MODULUS,
     main,
     parse_sequence_document,
     report_document,
     sequence_document,
 )
-from zpure.purity import harness_workers, purity_report
+from zpure.finmod import divisors
+from zpure.purity import MAX_FP_PAIRS, check_fp_budget, fp_catalog_pairs, harness_workers, purity_report
 
 
 @pytest.fixture()
@@ -325,3 +329,106 @@ def test_text_output_modes(run_cli, tmp_path):
                            "--seed", "0", "--format", "text")
     assert code == 0
     assert "coend_evaluation" in out
+
+
+# ---------------------------------------------------------------------------
+# Work budgets, checked before anything is built
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the budget check")
+    from zpure import purity
+
+    monkeypatch.setattr(cli, "run_all_suites", refuse)
+    monkeypatch.setattr(cli, "purity_report", refuse)
+    monkeypatch.setattr(purity, "enumerate_pp", refuse)
+    monkeypatch.setattr(purity, "fp_catalog", refuse)
+
+
+def _one_error_line(out, err):
+    return out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("modulus", [5040, 720720, 10 ** 12])
+def test_lemmas_refuses_modulus_over_object_budget(run_cli, monkeypatch, modulus):
+    _refuse_builds(monkeypatch)
+    code, out, err = run_cli("lemmas", "--modulus", str(modulus), "--trials", "1")
+    assert len(divisors(modulus)) > MAX_LEMMA_OBJECTS
+    assert code == 2
+    assert _one_error_line(out, err)
+    assert f"{MAX_LEMMA_OBJECTS} objects" in err
+
+
+def test_lemmas_budget_admits_2520(run_cli, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_all_suites", lambda *args: calls.append(args) or [])
+    code, _, _ = run_cli("lemmas", "--modulus", "2520", "--trials", "1", "--seed", "1")
+    assert len(divisors(2520)) == 48 <= MAX_LEMMA_OBJECTS
+    assert code == 0 and calls == [(2520, 1, 1)]
+
+
+@pytest.mark.parametrize("command", ["lemmas", "random"])
+def test_modulus_cap_applies_to_every_command(run_cli, monkeypatch, command):
+    _refuse_builds(monkeypatch)
+    code, out, err = run_cli(command, "--modulus", str(MAX_MODULUS + 1), "--trials", "1")
+    assert code == 2
+    assert _one_error_line(out, err)
+    assert "exceeds the supported" in err
+
+
+def test_fp_pair_count_matches_the_catalog_modules():
+    from zpure.purity import _modules_with_bounded_gens
+
+    for n in (1, 2, 7, 12, 24, 32, 72, 360):
+        for depth in (0, 1, 2, 3):
+            pairs = len(_modules_with_bounded_gens(n, depth)) ** 2
+            if pairs <= MAX_FP_PAIRS:
+                assert fp_catalog_pairs(n, depth) == pairs, (n, depth)
+            else:
+                assert fp_catalog_pairs(n, depth) > MAX_FP_PAIRS, (n, depth)
+
+
+def test_fp_budget_admits_360_and_refuses_2_39():
+    assert fp_catalog_pairs(360, 2) == 32400
+    check_fp_budget(360, 2)
+    assert fp_catalog_pairs(2 ** 39, 2) == 672400
+    assert fp_catalog_pairs(1, 10 ** 9) == 1  # no divisor >= 2: one module at any depth
+
+
+def test_fp_budget_refuses_check_and_random_quickly(run_cli, monkeypatch, tmp_path):
+    import time
+
+    _refuse_builds(monkeypatch)
+    path = tmp_path / "p39.json"
+    path.write_text(json.dumps({"modulus": 2 ** 39, "L": [], "M": [], "N": [],
+                                "f": [], "g": []}))
+    for argv in (("check", str(path)), ("random", "--modulus", str(2 ** 39), "--trials", "1")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2, argv
+        assert _one_error_line(out, err), argv
+        assert "fp catalog" in err and f"budget of {MAX_FP_PAIRS}" in err
+
+
+def test_fp_budget_guards_the_library():
+    from zpure.errors import InputError
+    from zpure.purity import Bounds, equivalence_harness, fp_catalog
+
+    with pytest.raises(InputError, match="fp catalog"):
+        fp_catalog(2 ** 39, 2)
+    with pytest.raises(InputError, match="fp catalog"):
+        equivalence_harness(72, 1, 0, bounds=Bounds(fp_depth=4))
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, zpure.cli\n"
+            "assert zpure.cli.main(['random', '--modulus', '4', '--trials', '2']) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
