@@ -20,22 +20,19 @@ from .finmod import (
     tensor_modules,
 )
 from .ppdef import PpFormula, PpPair, enumerate_pp, eval_pp, induced_pp_map, pp_pair_value
-from .funcat import (
-    FunctorOnD,
-    build_index_category,
-    coend_tensor,
-    dual_functor,
-    dual_of_hom_check,
-    eval_fp_functor,
-    fp_functor_from_map,
-    hom_tensor_duality_check,
-    kan_eval,
-    nat_transformations,
-    representable_cov,
-    restrict_module,
-    tensor_functor,
-)
 from .purity import Bounds, PurityReport, equivalence_harness, purity_report
+
+
+def __getattr__(name: str):
+    # the names of __all__ not bound above are funcat's; funcat (and the
+    # lemma suites built on it) loads on first use, so `check` and `random`
+    # never import it
+    if name in __all__:
+        from . import funcat
+
+        return getattr(funcat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Bounds",

@@ -29,11 +29,13 @@ package, never as a mathematical discovery.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalCheckError, InputError
 from .finmod import (
@@ -496,23 +498,95 @@ class HarnessSummary:
         }
 
 
-def _harness_trial(args) -> tuple[int, tuple[bool, ...], bool]:
-    modulus, seed, index, bounds, max_gens = args
-    seq = random_ses(modulus, seed=f"{seed}:{index}", max_gens=max_gens)
-    report = purity_report(seq, bounds)
-    return index, tuple(report.verdicts[name] for name in CHECKER_NAMES), report.consensus
-
-
 def harness_workers(jobs: int, trials: int) -> int:
-    """Worker processes for the harness: never more than trials or CPUs."""
+    """Worker processes for the harness: never more than trials or CPUs, and
+    one (this process) where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(jobs, trials, os.cpu_count() or 1)
+
+
+def _report_verdicts(seq: ShortSequence, bounds: Bounds) -> tuple[tuple[bool, ...], bool]:
+    report = purity_report(seq, bounds)
+    return tuple(report.verdicts[name] for name in CHECKER_NAMES), report.consensus
+
+
+def _child_outcome(worker: int, data: bytes, status: int):
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        end = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise InternalCheckError(f"harness worker {worker} ended without a result ({end})")
+    return pickle.loads(data)  # bytes written by our own child, in full
+
+
+def _forked_shares(share: Callable[[int], list], workers: int) -> list:
+    """[share(0), ..., share(workers - 1)]: this process runs share(0), and
+    each other share runs in one ``os.fork`` child, which sends back
+    (True, result) or (False, exception) as one pickle over a pipe and
+    leaves with ``os._exit``.
+
+    The harness starts no thread, so forking is safe.  A child's exception
+    is raised here once every child is reaped; a child that ends without a
+    result becomes an InternalCheckError naming it.  If this process fails
+    first, including on KeyboardInterrupt, the children still running are
+    killed and reaped.
+    """
+    children = []  # (worker, pid, read end of its pipe)
+    reaped = set()
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        payload = (True, share(k))
+                    except BaseException as exc:  # sent to the parent, which raises it
+                        payload = (False, exc)
+                    data = pickle.dumps(payload)
+                    with os.fdopen(w, "wb") as out:
+                        out.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((k, pid, os.fdopen(r, "rb")))
+        outcomes = [(True, share(0))]
+        for k, pid, pipe in children:
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            outcomes.append(_child_outcome(k, data, status))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 def equivalence_harness(modulus: int, trials: int, seed: int,
                         bounds: Bounds = DEFAULT_BOUNDS, jobs: int = 1,
                         max_gens: int = 3) -> HarnessSummary:
     """Run the six checkers on seeded random exact sequences and count
-    disagreements.  Deterministic for a given seed regardless of jobs."""
+    disagreements.  Deterministic for a given seed regardless of jobs.
+
+    With w = harness_workers(jobs, trials), worker k runs trials k::w, this
+    process being worker 0 (``_forked_shares``).  Each worker checks a
+    sequence drawn more than once only at its first draw: its verdicts are
+    memoized for this call, keyed by the sequence.
+    """
     if trials < 1:
         raise InputError("trials must be >= 1")
     if modulus < 2:
@@ -521,20 +595,18 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
         raise InputError("max_gens must be >= 0")
     bounds.validate()
     check_fp_budget(modulus, bounds.fp_depth)
-    # built here, before any fork, so pool workers inherit warm catalogs
+    # built here, before any fork, so every worker inherits warm catalogs
     enumerate_pp(modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
     fp_catalog(modulus, bounds.fp_depth)
-    tasks = [(modulus, seed, i, bounds, max_gens) for i in range(trials)]
     workers = harness_workers(jobs, trials)
-    if workers > 1:
-        # imported here: the import costs 10-20 ms, which --jobs 1 never needs
-        from concurrent.futures import ProcessPoolExecutor
+    verdicts_of = lru_cache(maxsize=4096)(_report_verdicts)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_harness_trial, tasks,
-                                    chunksize=max(1, trials // (4 * workers))))
-    else:
-        results = [_harness_trial(t) for t in tasks]
+    def share(k: int) -> list[tuple[int, tuple[bool, ...], bool]]:
+        return [(i, *verdicts_of(random_ses(modulus, seed=f"{seed}:{i}", max_gens=max_gens),
+                                 bounds))
+                for i in range(k, trials, workers)]
+
+    results = [r for part in _forked_shares(share, workers) for r in part]
     results.sort(key=lambda r: r[0])
     pure = 0
     disagree: list[int] = []

@@ -3,8 +3,9 @@
 Everything here enumerates residue vectors or uses textbook formulas
 directly; nothing calls back into the solver/SNF code it cross-checks.  The
 exceptions are the reference pp and fp catalogs, the reference functor-law
-validator and the reference congruence solver at the end, which keep first
-constructions as the regression references for the current ones.
+validator, the reference congruence solver and the reference harness at the
+end, which keep first constructions as the regression references for the
+current ones.
 """
 
 from fractions import Fraction
@@ -796,3 +797,26 @@ def reference_nat_transformations(F, H):
     gens = hermite_kernel(rows, moduli, total)
     sub = Subgroup(tuple(orders), cat.modulus, tuple(gens))
     return NatModule(F, H, sub.module, sub, homs, tuple(offsets))
+
+
+def reference_harness(modulus, trials, seed, bounds=None, max_gens=3):
+    """``equivalence_harness`` as one loop in this process: one
+    ``purity_report`` per trial, with no memo and no fork."""
+    from zpure.finmod import random_ses
+    from zpure.purity import CHECKER_NAMES, DEFAULT_BOUNDS, HarnessSummary, purity_report
+
+    bounds = bounds or DEFAULT_BOUNDS
+    pure, disagree = 0, []
+    false_counts = {name: 0 for name in CHECKER_NAMES}
+    for i in range(trials):
+        seq = random_ses(modulus, seed=f"{seed}:{i}", max_gens=max_gens)
+        report = purity_report(seq, bounds)
+        if not report.consensus:
+            disagree.append(i)
+        if report.verdicts["split"]:
+            pure += 1
+        for name in CHECKER_NAMES:
+            if not report.verdicts[name]:
+                false_counts[name] += 1
+    return HarnessSummary(modulus, trials, seed, bounds, pure, len(disagree),
+                          tuple(disagree), false_counts)

@@ -426,9 +426,19 @@ def test_cli_import_leaves_out_the_process_pool():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, zpure.cli\n"
+    # random neither loads funcat nor imports a process pool, even when it
+    # forks; the star import still binds every public name, funcat's too
+    code = ("import os, sys, zpure, zpure.cli\n"
+            "os.cpu_count = lambda: 4\n"
             "assert zpure.cli.main(['random', '--modulus', '4', '--trials', '2']) == 0\n"
-            "assert 'concurrent.futures' not in sys.modules\n")
+            "assert zpure.cli.main(['random', '--modulus', '8', '--trials', '4',"
+            " '--jobs', '2']) == 0\n"
+            "loaded = {'zpure.funcat', 'zpure.suites', 'concurrent.futures',"
+            " 'multiprocessing'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "names = {}\n"
+            "exec('from zpure import *', names)\n"
+            "assert set(zpure.__all__) <= set(names), set(zpure.__all__) - set(names)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -33,7 +36,7 @@ from zpure.purity import (
     pp_pair_exact,
     purity_report,
 )
-from zpure import purity
+from zpure import cli, purity
 from zpure.funcat import eval_fp_functor
 from zpure.ppdef import PpPair, enumerate_pp, eval_pp
 
@@ -46,6 +49,7 @@ from oracles import (
     reference_fp_candidates,
     reference_fp_catalog,
     reference_fp_functor_exact,
+    reference_harness,
     reference_pp_pair_exact,
 )
 
@@ -288,7 +292,7 @@ def test_harness_jobs_do_not_change_output():
 
 def test_harness_builds_catalogs_before_forking():
     # catalogs built by the parent are in its own caches; a build that
-    # happened only inside pool workers would leave them empty here
+    # happened only inside forked workers would leave them empty here
     enumerate_pp.cache_clear()
     fp_catalog.cache_clear()
     pooled = equivalence_harness(8, 6, seed=1, jobs=2)
@@ -321,6 +325,127 @@ def test_harness_rejects_bad_args():
     with pytest.raises(InputError):
         purity_report(z4_nonpure(), Bounds(pp_free=0))
 
+
+
+@pytest.mark.parametrize("modulus", [4, 6, 8, 9, 12])
+def test_harness_matches_reference(monkeypatch, modulus):
+    # 4 CPUs, so that 3 workers fork here too, with shares of 14, 13 and 13
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for seed in (1, 2, 3):
+        expected = reference_harness(modulus, 40, seed)
+        for jobs in (1, 2, 3):
+            assert equivalence_harness(modulus, 40, seed, jobs=jobs) == expected, (seed, jobs)
+
+
+def test_harness_memo_lasts_one_call(monkeypatch):
+    calls = []
+    report = purity.purity_report
+    monkeypatch.setattr(purity, "purity_report", lambda seq, bounds: calls.append(seq) or
+                        report(seq, bounds))
+    distinct = len({random_ses(8, seed=f"11:{i}") for i in range(40)})
+    assert distinct < 40  # some draws repeat, and each is checked once
+    for _ in range(2):
+        calls.clear()
+        equivalence_harness(8, 40, seed=11)
+        assert len(calls) == len(set(calls)) == distinct
+
+
+# Fork-split failures.  The worker k of w runs trials k::w, so with jobs=2
+# a sequence drawn at an odd trial and at no even one reaches the child
+# alone, and one drawn at an even trial and at no odd one, the parent alone.
+FORK_CASE = dict(modulus=4, trials=12, seed=5)
+
+
+def _drawn_only_by(worker):
+    draws = [random_ses(FORK_CASE["modulus"], seed=f"{FORK_CASE['seed']}:{i}")
+             for i in range(FORK_CASE["trials"])]
+    others = set(draws[1 - worker::2])
+    return next(seq for seq in draws[worker::2] if seq not in others)
+
+
+def _fail_on(monkeypatch, seq, action):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    report = purity.purity_report
+
+    def patched(s, bounds):
+        if s == seq:
+            action()
+        return report(s, bounds)
+
+    monkeypatch.setattr(purity, "purity_report", patched)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _defect():
+    raise InternalCheckError("planted defect")
+
+
+def test_child_exception_is_raised_in_parent(monkeypatch, capsys):
+    _fail_on(monkeypatch, _drawn_only_by(1), _defect)
+    with pytest.raises(InternalCheckError, match="planted defect"):
+        equivalence_harness(**FORK_CASE, jobs=2)
+    _assert_no_children()
+    argv = ["random", "--modulus", str(FORK_CASE["modulus"]), "--trials",
+            str(FORK_CASE["trials"]), "--seed", str(FORK_CASE["seed"]), "--jobs", "2"]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal defect: planted defect\n"
+    _assert_no_children()
+
+
+def test_killed_child_is_an_internal_defect(monkeypatch):
+    _fail_on(monkeypatch, _drawn_only_by(1), lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(InternalCheckError, match=r"harness worker 1 ended without a "
+                                                 r"result \(signal 9\)"):
+        equivalence_harness(**FORK_CASE, jobs=2)
+    _assert_no_children()
+
+
+def test_unpicklable_child_exception_is_an_internal_defect(monkeypatch):
+    class Local(Exception):  # a local class cannot be pickled
+        pass
+
+    def raise_local():
+        raise Local("not sent")
+
+    _fail_on(monkeypatch, _drawn_only_by(1), raise_local)
+    with pytest.raises(InternalCheckError, match="harness worker 1 ended without a result"):
+        equivalence_harness(**FORK_CASE, jobs=2)
+    _assert_no_children()
+
+
+def test_parent_failure_kills_and_reaps_children(monkeypatch):
+    # the child sleeps on its own sequence; the parent is interrupted on its
+    # own one and must kill the child rather than wait for it
+    child_seq, parent_seq = _drawn_only_by(1), _drawn_only_by(0)
+
+    def act(seq):
+        if seq == child_seq:
+            time.sleep(60)
+        elif seq == parent_seq:
+            raise KeyboardInterrupt
+
+    report = purity.purity_report
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(purity, "purity_report", lambda s, bounds: act(s) or report(s, bounds))
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        equivalence_harness(**FORK_CASE, jobs=2)
+    assert time.perf_counter() - t0 < 30
+    _assert_no_children()
+
+
+def test_harness_runs_serially_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert purity.harness_workers(4, 100) == 1
+    assert equivalence_harness(4, 12, seed=5, jobs=2) == reference_harness(4, 12, 5)
 
 # sha256 of the d-torsion subgroups' generators, project and lift matrices,
 # as the Smith-form solver that first gave Subgroup its relations made them
