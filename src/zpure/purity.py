@@ -53,6 +53,7 @@ from .finmod import (
 )
 from .ppdef import (
     PpPair,
+    _formula_signature,
     enumerate_pp,
     eval_pp,
     format_pp,
@@ -63,7 +64,6 @@ from .zmodlin import (
     hermite_extend,
     hermite_key,
     hermite_reduce,
-    key_order,
     snf_diagonal,
 )
 
@@ -91,8 +91,9 @@ DEFAULT_BOUNDS = Bounds()
 # Individual checkers
 
 
+@lru_cache(maxsize=4096)
 def _torsion_subgroup(module: CanonicalModule, d: int) -> Subgroup:
-    """The d-torsion {x : d*x == 0} as a subgroup."""
+    """The d-torsion {x : d*x == 0} as a subgroup, cached per (module, d)."""
     scalar = ModuleMap(module, module, IntMatrix.diagonal([d] * module.ngens))
     return scalar.kernel()
 
@@ -128,48 +129,39 @@ def check_split_oracle(seq: ShortSequence):
     return True, {"kind": "section", "matrix": s.matrix.tolists()}
 
 
-def fp_functor_exact(u: ModuleMap, seq: ShortSequence) -> bool:
-    """Whether F_u(L) -> F_u(M) -> F_u(N) is exact, F_u = coker(Hom(a, -) ->
-    Hom(b, -)) for u: b -> a."""
-    terms = [fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
-    return induced_exact(seq.f, seq.g, *terms, blocks=u.domain.ngens)
-
-
 def check_fp_functors(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
-    """Exactness of every sequence induced by the bounded fp-functor catalog."""
-    for u in fp_catalog(seq.modulus, bounds.fp_depth):
-        if not fp_functor_exact(u, seq):
+    """Exactness of every sequence induced by the bounded fp-functor catalog.
+
+    The terms come from the three modules' tables; the entries with one
+    domain b share their generators, so they form one group of ``InducedMaps``."""
+    tables = [module_terms(m, bounds) for m in (seq.left, seq.middle, seq.right)]
+    maps = InducedMaps(seq.f, seq.g)
+    for i, u in enumerate(tables[0].fp_maps):
+        b = u.domain
+        if not maps.exact(*(t.fp(i) for t in tables), blocks=b.ngens, group=b.invariants):
             return False, {
                 "kind": "fp_functor",
-                "map_domain": list(u.domain.invariants),
+                "map_domain": list(b.invariants),
                 "map_codomain": list(u.codomain.invariants),
                 "matrix": u.matrix.tolists(),
             }
     return True, None
 
 
-def pp_pair_exact(phis: Sequence[Subgroup], psis: Sequence[Subgroup],
-                  seq: ShortSequence, free_count: int) -> bool:
-    """Whether phi/psi(L) -> phi/psi(M) -> phi/psi(N) is exact, given the
-    evaluations of phi and of psi & phi at the three terms."""
-    if all(p.cardinality == q.cardinality for p, q in zip(phis, psis)):
-        return True  # all three sort groups vanish; trivially exact
-    terms = [InducedTerm(p.ambient_orders, p.gens, p.key, q.key,
-                         p.cardinality // q.cardinality)
-             for p, q in zip(phis, psis)]
-    return induced_exact(seq.f, seq.g, *terms, blocks=free_count)
-
-
 def check_pp_pairs(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
-    """Exactness of the sort-group sequence for every catalog pp pair."""
-    catalog = enumerate_pp(seq.modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
-    mods = (seq.left, seq.middle, seq.right)
-    for phi in catalog:
-        phis = [eval_pp(phi, m) for m in mods]
-        for psi in catalog:
-            pair = PpPair.of(phi, psi)
-            psis = [eval_pp(pair.psi, m) for m in mods]
-            if not pp_pair_exact(phis, psis, seq, phi.free_count):
+    """Exactness of the sort-group sequence for every catalog pp pair.
+
+    The terms come from the three modules' tables; the pairs with one phi
+    share G = phi(X), so they form one group of ``InducedMaps``."""
+    tables = [module_terms(m, bounds) for m in (seq.left, seq.middle, seq.right)]
+    maps = InducedMaps(seq.f, seq.g)
+    catalog = tables[0].pp_formulas
+    for i, phi in enumerate(catalog):
+        for j, psi in enumerate(catalog):
+            terms = [t.pp(i, j) for t in tables]
+            if all(t.order == 1 for t in terms):
+                continue  # all three sort groups vanish; trivially exact
+            if not maps.exact(*terms, blocks=phi.free_count, group=i):
                 return False, {"kind": "pp_pair",
                                "phi": format_pp(phi), "psi": format_pp(psi)}
     return True, None
@@ -248,6 +240,11 @@ def _inside(vectors, key) -> bool:
     return not any(any(hermite_reduce(v, key)) for v in vectors)
 
 
+def _index(key: Sequence[Vec]) -> int:
+    """The index in prod Z/o_i of the subgroup with Hermite key ``key``."""
+    return prod(row[i] for i, row in enumerate(key))
+
+
 def _relation_images(push, term: InducedTerm) -> list[Vec]:
     """Images of the rows of R(X)'s key; a row with pivot o_i is o_i*e_i
     plus later rows, and o_i*e_i maps to zero, so it is skipped."""
@@ -255,32 +252,65 @@ def _relation_images(push, term: InducedTerm) -> list[Vec]:
             if row[i] != o]
 
 
+class InducedMaps:
+    """f and g of one sequence L -f-> M -g-> N acting on induced terms.
+
+    ``exact`` decides whether F(L) -> F(M) -> F(N) is exact.  It builds the
+    blockwise push tables once per block count.  Entries of one ``group``
+    must share the generators and the carriers of their three terms (fp
+    terms of one domain b, pp terms of one phi); their pushed generators,
+    the carrier checks and |G(N)| are computed at the group's first entry.
+    """
+
+    def __init__(self, f: ModuleMap, g: ModuleMap):
+        self.f, self.g = f, g
+        self._pushes: dict[int, tuple] = {}
+        self._groups: dict = {}
+
+    def _group(self, left: InducedTerm, middle: InducedTerm, right: InducedTerm,
+               blocks: int) -> tuple:
+        pushes = self._pushes.get(blocks)
+        if pushes is None:
+            pushes = self._pushes[blocks] = (_blockwise(self.f, blocks),
+                                             _blockwise(self.g, blocks))
+        push_f, push_g = pushes
+        f_gens = [push_f(v) for v in left.gens]
+        g_gens = [push_g(v) for v in middle.gens]
+        if not (_inside(f_gens, middle.carrier) and _inside(g_gens, right.carrier)):
+            raise InternalCheckError("induced map is ill-defined")
+        return push_f, push_g, f_gens, g_gens, [push_g(v) for v in f_gens], _index(right.carrier)
+
+    def exact(self, left: InducedTerm, middle: InducedTerm, right: InducedTerm,
+              blocks: int, group) -> bool:
+        """Whether F(L) -> F(M) -> F(N), induced by L -f-> M -g-> N, is exact.
+
+        The checks of ``finmod.exactness_failure`` on the induced maps, read
+        off subgroup orders in raw coordinates, with no quotient module
+        built: g(f(G(L))) <= R(N), |F(M)| = |F(L)| |F(N)|,
+        |f(G(L)) + R(M)| = |F(L)| |R(M)| (injective) and
+        |g(G(M)) + R(N)| = |G(N)| (surjective).  A map that does not carry G
+        into G and R into R is a defect.
+        """
+        data = self._groups.get(group)
+        if data is None:
+            data = self._groups[group] = self._group(left, middle, right, blocks)
+        push_f, push_g, f_gens, g_gens, gf_gens, carrier_index = data
+        if not (_inside(_relation_images(push_f, left), middle.relations)
+                and _inside(_relation_images(push_g, middle), right.relations)):
+            raise InternalCheckError("induced map is ill-defined")
+        if not _inside(gf_gens, right.relations) or middle.order != left.order * right.order:
+            return False
+        # orders as indices in the ambient: |A| = |ambient| / _index(key of A)
+        if (_index(middle.relations)
+                != left.order * _index(hermite_extend(middle.relations, f_gens, middle.orders))):
+            return False
+        return _index(hermite_extend(right.relations, g_gens, right.orders)) == carrier_index
+
+
 def induced_exact(f: ModuleMap, g: ModuleMap, left: InducedTerm, middle: InducedTerm,
                   right: InducedTerm, blocks: int) -> bool:
-    """Whether F(L) -> F(M) -> F(N), induced by L -f-> M -g-> N, is exact.
-
-    The checks of ``finmod.exactness_failure`` on the induced maps, read off
-    subgroup orders in raw coordinates, with no quotient module built:
-    g(f(G(L))) <= R(N), |f(G(L)) + R(M)| = |F(L)| |R(M)| (injective),
-    |g(G(M)) + R(N)| = |G(N)| (surjective) and |F(M)| = |F(L)| |F(N)|.
-    A map that does not carry G into G and R into R is a defect.
-    """
-    push_f, push_g = _blockwise(f, blocks), _blockwise(g, blocks)
-    f_gens = [push_f(v) for v in left.gens]
-    g_gens = [push_g(v) for v in middle.gens]
-    if not (_inside(f_gens, middle.carrier) and _inside(g_gens, right.carrier)
-            and _inside(_relation_images(push_f, left), middle.relations)
-            and _inside(_relation_images(push_g, middle), right.relations)):
-        raise InternalCheckError("induced map is ill-defined")
-    if not _inside(map(push_g, f_gens), right.relations):
-        return False
-    if (key_order(hermite_extend(middle.relations, f_gens, middle.orders), middle.orders)
-            != left.order * key_order(middle.relations, middle.orders)):
-        return False
-    if (key_order(hermite_extend(right.relations, g_gens, right.orders), right.orders)
-            != key_order(right.carrier, right.orders)):
-        return False
-    return middle.order == left.order * right.order
+    """``InducedMaps(f, g).exact`` for one entry."""
+    return InducedMaps(f, g).exact(left, middle, right, blocks, group=None)
 
 
 @lru_cache(maxsize=16384)
@@ -425,6 +455,95 @@ def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Per-module catalog terms
+
+
+@lru_cache(maxsize=16)
+def _pp_conjunctions(modulus: int, bounds: Bounds) -> tuple:
+    """For the pp catalog pair (i, j) at position i * n + j: the position k
+    of a catalog formula equivalent to psi_j & phi_i, if there is one, else
+    that conjunction itself (``PpPair.of(phi_i, psi_j).psi``).
+
+    Equivalent formulas have equal ``_formula_signature`` and define the
+    same subgroup of every module.  With one free variable and the class
+    bound reached, the catalog holds every class, so every conjunction is
+    found and a module's pp terms need only the n values phi_k(X).
+    """
+    catalog = enumerate_pp(modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
+    where = {_formula_signature(phi, modulus): k for k, phi in enumerate(catalog)}
+    conjunctions = []
+    for phi in catalog:
+        for psi in catalog:
+            both = PpPair.of(phi, psi).psi
+            conjunctions.append(where.get(_formula_signature(both, modulus), both))
+    return tuple(conjunctions)
+
+
+class ModuleTerms:
+    """The terms F(X) of one module X for every entry of the fp and pp
+    catalogs, indexed by catalog position and filled on first use.
+
+    ``fp(i)`` is ``fp_term(fp_maps[i], X)``; ``pp(i, j)`` is
+    phi(X)/(psi & phi)(X) for phi, psi the i-th and j-th pp formulas, from
+    ``eval_pp`` and ``_pp_conjunctions``.  A checker reads its terms here by
+    index, so it hashes no map or formula per entry.
+    """
+
+    def __init__(self, module: CanonicalModule, bounds: Bounds):
+        self.module = module
+        self.fp_maps = fp_catalog(module.modulus, bounds.fp_depth)
+        self.pp_formulas = enumerate_pp(module.modulus, bounds.pp_free, bounds.pp_exists,
+                                        bounds.pp_rows)
+        self._conjunctions = _pp_conjunctions(module.modulus, bounds)
+        self._fp: list[Optional[InducedTerm]] = [None] * len(self.fp_maps)
+        self._phi: list[Optional[Subgroup]] = [None] * len(self.pp_formulas)
+        self._pp: list[Optional[InducedTerm]] = [None] * len(self._conjunctions)
+
+    def fp(self, i: int) -> InducedTerm:
+        term = self._fp[i]
+        if term is None:
+            term = self._fp[i] = fp_term(self.fp_maps[i], self.module)
+        return term
+
+    def _phi_x(self, k: int) -> Subgroup:
+        value = self._phi[k]
+        if value is None:
+            value = self._phi[k] = eval_pp(self.pp_formulas[k], self.module)
+        return value
+
+    def pp(self, i: int, j: int) -> InducedTerm:
+        at = i * len(self.pp_formulas) + j
+        term = self._pp[at]
+        if term is None:
+            both = self._conjunctions[at]
+            psi_x = self._phi_x(both) if isinstance(both, int) else eval_pp(both, self.module)
+            phi_x = self._phi_x(i)
+            term = self._pp[at] = InducedTerm(phi_x.ambient_orders, phi_x.gens, phi_x.key,
+                                              psi_x.key, phi_x.cardinality // psi_x.cardinality)
+        return term
+
+    def fill(self) -> None:
+        """Compute every entry."""
+        for i in range(len(self.fp_maps)):
+            self.fp(i)
+        n = len(self.pp_formulas)
+        for i in range(n):
+            for j in range(n):
+                self.pp(i, j)
+
+
+# Tables kept at once.  At N=8 or 9 a table holds 33 or 12 fp terms and 64 or
+# 16 pp terms, and modules with at most 3 generators number 20 and 10.
+MAX_MODULE_TABLES = 64
+
+
+@lru_cache(maxsize=MAX_MODULE_TABLES)
+def module_terms(module: CanonicalModule, bounds: Bounds) -> ModuleTerms:
+    """The (lazily filled) catalog terms of ``module`` under ``bounds``."""
+    return ModuleTerms(module, bounds)
+
+
+# ---------------------------------------------------------------------------
 # Consensus report
 
 
@@ -519,9 +638,9 @@ def _child_outcome(worker: int, data: bytes, status: int):
     return pickle.loads(data)  # bytes written by our own child, in full
 
 
-def _forked_shares(share: Callable[[int], list], workers: int) -> list:
-    """[share(0), ..., share(workers - 1)]: this process runs share(0), and
-    each other share runs in one ``os.fork`` child, which sends back
+def _forked_shares(share: Callable[[int], list], forked: Sequence[int]) -> list:
+    """[share(0)] + [share(k) for k in forked]: this process runs share(0),
+    and each other share runs in one ``os.fork`` child, which sends back
     (True, result) or (False, exception) as one pickle over a pipe and
     leaves with ``os._exit``.
 
@@ -534,7 +653,7 @@ def _forked_shares(share: Callable[[int], list], workers: int) -> list:
     children = []  # (worker, pid, read end of its pipe)
     reaped = set()
     try:
-        for k in range(1, workers):
+        for k in forked:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -576,16 +695,68 @@ def _forked_shares(share: Callable[[int], list], workers: int) -> list:
     return [value for _, value in outcomes]
 
 
+# The harness refuses more trials than MAX_TRIALS before drawing any.  It
+# draws at most HARNESS_ROUND trials at a time and keeps the verdicts of at
+# most HARNESS_ROUND distinct sequences, so its memory stays bounded by one
+# round whatever the trial count.
+MAX_TRIALS = 100_000
+HARNESS_ROUND = 4096
+
+
+def _round_verdicts(distinct: list[ShortSequence], firsts: list[int], workers: int,
+                    bounds: Bounds, known: dict) -> list[tuple[tuple[bool, ...], bool]]:
+    """The verdicts of a round's distinct sequences, the i-th first drawn at
+    trial firsts[i].
+
+    A sequence in ``known`` (the verdicts of earlier rounds) is not checked
+    again; every other one is checked once, by the worker whose trial share
+    k::workers holds its first draw.  Only workers with a sequence to check
+    are forked.  Before the fork this process fills the tables of the
+    modules that more than one worker reads, so no two workers build one
+    term; a module that one worker reads is left to it.  ``known`` then
+    holds this round's sequences as the most recent, and at most
+    HARNESS_ROUND of them.
+    """
+    results = [known.pop(seq, None) for seq in distinct]
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for slot, i in enumerate(firsts):
+        if results[slot] is None:
+            shares[i % workers].append(slot)
+    forked = [k for k in range(1, workers) if shares[k]]
+    if forked:
+        readers: dict[CanonicalModule, set[int]] = {}
+        for k, part in enumerate(shares):
+            for slot in part:
+                seq = distinct[slot]
+                for m in (seq.left, seq.middle, seq.right):
+                    readers.setdefault(m, set()).add(k)
+        shared = [m for m, ks in readers.items() if len(ks) > 1]
+        for module in shared[:MAX_MODULE_TABLES]:
+            module_terms(module, bounds).fill()
+
+    def share(k: int) -> list[tuple[tuple[bool, ...], bool]]:
+        return [_report_verdicts(distinct[slot], bounds) for slot in shares[k]]
+
+    for k, verdicts in zip([0, *forked], _forked_shares(share, forked)):
+        for slot, v in zip(shares[k], verdicts):
+            results[slot] = v
+    known.update(zip(distinct, results))
+    for seq in list(known)[:max(0, len(known) - HARNESS_ROUND)]:
+        del known[seq]
+    return results
+
+
 def equivalence_harness(modulus: int, trials: int, seed: int,
                         bounds: Bounds = DEFAULT_BOUNDS, jobs: int = 1,
                         max_gens: int = 3) -> HarnessSummary:
     """Run the six checkers on seeded random exact sequences and count
     disagreements.  Deterministic for a given seed regardless of jobs.
 
-    With w = harness_workers(jobs, trials), worker k runs trials k::w, this
-    process being worker 0 (``_forked_shares``).  Each worker checks a
-    sequence drawn more than once only at its first draw: its verdicts are
-    memoized for this call, keyed by the sequence.
+    This process draws the trials in rounds of at most HARNESS_ROUND and
+    checks each round's sequences over w = harness_workers(jobs, trials)
+    workers, itself being worker 0 (``_round_verdicts``).  A sequence is
+    checked once per call, at its first draw: the verdicts of the last
+    HARNESS_ROUND distinct sequences are kept from round to round.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -594,30 +765,37 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
     if max_gens < 0:
         raise InputError("max_gens must be >= 0")
     bounds.validate()
+    if trials > MAX_TRIALS:
+        raise InputError(f"{trials} trials are over the budget of {MAX_TRIALS}")
     check_fp_budget(modulus, bounds.fp_depth)
     # built here, before any fork, so every worker inherits warm catalogs
     enumerate_pp(modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
     fp_catalog(modulus, bounds.fp_depth)
     workers = harness_workers(jobs, trials)
-    verdicts_of = lru_cache(maxsize=4096)(_report_verdicts)
-
-    def share(k: int) -> list[tuple[int, tuple[bool, ...], bool]]:
-        return [(i, *verdicts_of(random_ses(modulus, seed=f"{seed}:{i}", max_gens=max_gens),
-                                 bounds))
-                for i in range(k, trials, workers)]
-
-    results = [r for part in _forked_shares(share, workers) for r in part]
-    results.sort(key=lambda r: r[0])
+    known: dict[ShortSequence, tuple[tuple[bool, ...], bool]] = {}
     pure = 0
     disagree: list[int] = []
     false_counts = {name: 0 for name in CHECKER_NAMES}
-    for index, verdicts, consensus in results:
-        if not consensus:
-            disagree.append(index)
-        if verdicts[CHECKER_NAMES.index("split")]:
-            pure += 1
-        for name, v in zip(CHECKER_NAMES, verdicts):
-            if not v:
-                false_counts[name] += 1
+    split = CHECKER_NAMES.index("split")
+    for start in range(0, trials, HARNESS_ROUND):
+        slots: dict[ShortSequence, int] = {}  # the round's distinct sequences
+        order: list[int] = []  # the slot of each trial
+        firsts: list[int] = []  # the trial of each slot's first draw
+        for i in range(start, min(trials, start + HARNESS_ROUND)):
+            seq = random_ses(modulus, seed=f"{seed}:{i}", max_gens=max_gens)
+            slot = slots.setdefault(seq, len(slots))
+            if slot == len(firsts):
+                firsts.append(i)
+            order.append(slot)
+        results = _round_verdicts(list(slots), firsts, workers, bounds, known)
+        for index, slot in enumerate(order, start):
+            verdicts, consensus = results[slot]
+            if not consensus:
+                disagree.append(index)
+            if verdicts[split]:
+                pure += 1
+            for name, v in zip(CHECKER_NAMES, verdicts):
+                if not v:
+                    false_counts[name] += 1
     return HarnessSummary(modulus, trials, seed, bounds, pure,
                           len(disagree), tuple(disagree), false_counts)

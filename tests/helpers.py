@@ -20,6 +20,7 @@ from zpure.funcat import (
     coend_tensor,
     functor_from_values,
 )
+from zpure.purity import InducedTerm, fp_term, induced_exact
 from zpure.zmodlin import IntMatrix, _snf_core, solve_mod_many
 
 
@@ -148,3 +149,24 @@ def coend_map_right(G: FunctorOnD, F1: FunctorOnD, F2: FunctorOnD,
     blocks = [tensor_pair_map(ModuleMap.identity(G.value(d)), eta[i])
               for i, d in enumerate(cat.objects)]
     return _coend_transport(src, dst, blocks)
+
+
+# One catalog entry at a time: the checkers read the same terms from
+# per-module tables and share work between entries.
+
+
+def fp_functor_exact(u: ModuleMap, seq: ShortSequence) -> bool:
+    """Whether F_u(L) -> F_u(M) -> F_u(N) is exact, F_u = coker(Hom(a, -) ->
+    Hom(b, -)) for u: b -> a."""
+    terms = [fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
+    return induced_exact(seq.f, seq.g, *terms, blocks=u.domain.ngens)
+
+
+def pp_pair_exact(phis, psis, seq: ShortSequence, free_count: int) -> bool:
+    """Whether phi/psi(L) -> phi/psi(M) -> phi/psi(N) is exact, given the
+    evaluations of phi and of psi & phi at the three terms."""
+    if all(p.cardinality == q.cardinality for p, q in zip(phis, psis)):
+        return True  # all three sort groups vanish; trivially exact
+    terms = [InducedTerm(p.ambient_orders, p.gens, p.key, q.key, p.cardinality // q.cardinality)
+             for p, q in zip(phis, psis)]
+    return induced_exact(seq.f, seq.g, *terms, blocks=free_count)

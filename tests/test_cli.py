@@ -412,6 +412,21 @@ def test_fp_budget_refuses_check_and_random_quickly(run_cli, monkeypatch, tmp_pa
         assert "fp catalog" in err and f"budget of {MAX_FP_PAIRS}" in err
 
 
+def test_random_refuses_trials_over_budget_quickly(run_cli, monkeypatch):
+    import time
+
+    from zpure.purity import MAX_TRIALS
+
+    assert MAX_TRIALS == 100_000
+    _refuse_builds(monkeypatch)
+    t0 = time.perf_counter()
+    code, out, err = run_cli("random", "--modulus", "4", "--trials", "100001")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert _one_error_line(out, err)
+    assert f"over the budget of {MAX_TRIALS}" in err
+
+
 def test_fp_budget_guards_the_library():
     from zpure.errors import InputError
     from zpure.purity import Bounds, equivalence_harness, fp_catalog

@@ -449,6 +449,18 @@ def test_random_ses_deterministic_and_valid():
         assert is_exact(seq.f, seq.g)
 
 
+def test_random_ses_gives_the_same_sequences_without_its_cache(monkeypatch):
+    from zpure import finmod
+
+    draws = [(n, f"cache:{i}") for n in (4, 6, 8, 12) for i in range(60)]
+    finmod._sequence_through_image.cache_clear()
+    cached = [random_ses(n, seed=s) for n, s in draws]
+    assert finmod._sequence_through_image.cache_info().hits > 0  # repeated maps
+    monkeypatch.setattr(finmod, "_sequence_through_image",
+                        finmod._sequence_through_image.__wrapped__)
+    assert [random_ses(n, seed=s) for n, s in draws] == cached
+
+
 def test_random_ses_reaches_nonsplit():
     nonsplit = 0
     for i in range(60):

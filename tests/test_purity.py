@@ -20,7 +20,9 @@ from zpure.finmod import (
 )
 from zpure.purity import (
     DEFAULT_BOUNDS,
+    MAX_TRIALS,
     Bounds,
+    InducedMaps,
     InducedTerm,
     check_dual_split,
     check_fp_functors,
@@ -30,17 +32,17 @@ from zpure.purity import (
     check_tensor,
     equivalence_harness,
     fp_catalog,
-    fp_functor_exact,
     fp_invariants,
+    fp_term,
     induced_exact,
-    pp_pair_exact,
+    module_terms,
     purity_report,
 )
 from zpure import cli, purity
 from zpure.funcat import eval_fp_functor
 from zpure.ppdef import PpPair, enumerate_pp, eval_pp
 
-from helpers import direct_sum_sequences, inverse
+from helpers import direct_sum_sequences, fp_functor_exact, inverse, pp_pair_exact
 from oracles import (
     divisor_chains,
     reference_check_fp_functors,
@@ -165,6 +167,65 @@ def test_checkers_match_reference(modulus):
         assert check_pp_pairs(seq) == reference_check_pp_pairs(seq, DEFAULT_BOUNDS)
 
 
+TABLE_MODULI = (4, 6, 8, 9, 12)
+
+
+@pytest.mark.parametrize("modulus", TABLE_MODULI)
+def test_module_tables_match_per_entry_terms(modulus):
+    # the table reads pp terms off the catalog formula equivalent to each
+    # conjunction; every entry must be the term the per-entry caches give
+    b = DEFAULT_BOUNDS
+    maps = fp_catalog(modulus, b.fp_depth)
+    formulas = enumerate_pp(modulus, b.pp_free, b.pp_exists, b.pp_rows)
+    module_terms.cache_clear()
+    for chain in divisor_chains(modulus, 3):
+        module = Z(modulus, *chain)
+        table = module_terms(module, b)
+        for i, u in enumerate(maps):
+            assert table.fp(i) == fp_term(u, module), (module, u)
+        for i, phi in enumerate(formulas):
+            p = eval_pp(phi, module)
+            for j, psi in enumerate(formulas):
+                q = eval_pp(PpPair.of(phi, psi).psi, module)
+                expected = InducedTerm(p.ambient_orders, p.gens, p.key, q.key,
+                                       p.cardinality // q.cardinality)
+                assert table.pp(i, j) == expected, (module, phi, psi)
+
+
+def test_module_tables_evaluate_conjunctions_outside_the_catalog():
+    # one row keeps 7 of the 8 classes at N=8, so some conjunction has no
+    # equivalent catalog formula and is evaluated itself
+    bounds = Bounds(pp_rows=1)
+    formulas = enumerate_pp(8, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
+    assert len(formulas) == 7
+    assert any(not isinstance(c, int) for c in purity._pp_conjunctions(8, bounds))
+    assert all(isinstance(c, int) for c in purity._pp_conjunctions(8, DEFAULT_BOUNDS))
+    for chain in divisor_chains(8, 3):
+        module = Z(8, *chain)
+        table = module_terms(module, bounds)
+        for i, phi in enumerate(formulas):
+            p = eval_pp(phi, module)
+            for j, psi in enumerate(formulas):
+                q = eval_pp(PpPair.of(phi, psi).psi, module)
+                assert (table.pp(i, j).relations, table.pp(i, j).order) == (
+                    q.key, p.cardinality // q.cardinality), (module, phi, psi)
+
+
+@pytest.mark.parametrize("modulus", TABLE_MODULI)
+def test_table_checkers_match_reference(modulus):
+    # 200 seeded draws; each is checked with every table cold, then warm
+    expected = {}
+    for i in range(200):
+        seq = random_ses(modulus, seed=f"tables:{i}", max_gens=3)
+        if seq not in expected:
+            expected[seq] = (reference_check_fp_functors(seq, DEFAULT_BOUNDS),
+                             reference_check_pp_pairs(seq, DEFAULT_BOUNDS))
+        module_terms.cache_clear()
+        for _ in ("cold", "warm"):
+            assert (check_fp_functors(seq), check_pp_pairs(seq)) == expected[seq], seq
+    assert len(expected) > 60
+
+
 @pytest.mark.parametrize("modulus", (4, 6, 8, 9, 12))
 def test_eval_pp_matches_direct_kernel(modulus):
     catalog = enumerate_pp(modulus, 1, 2, 2)
@@ -187,6 +248,25 @@ def test_induced_exact_rejects_ill_defined_maps():
         induced_exact(ident, ident, whole, halved, whole, blocks=1)
     with pytest.raises(InternalCheckError, match="ill-defined"):
         induced_exact(ident, ident, mod_two, whole, whole, blocks=1)
+
+
+def test_induced_maps_reject_ill_defined_maps_in_a_group():
+    # the carrier checks run once per group, at its first entry; a failing
+    # one raises and is not kept, so it raises again on reuse, and the
+    # relation checks run for every entry of a kept group
+    ident = ModuleMap.identity(Z(4, 4))
+    whole = InducedTerm((4,), ((1,),), ((1,),), ((4,),), 4)
+    halved = InducedTerm((4,), ((2,),), ((2,),), ((4,),), 2)
+    mod_two = InducedTerm((4,), ((1,),), ((1,),), ((2,),), 2)
+    maps = InducedMaps(ident, ident)
+    for _ in ("first use", "reuse"):
+        with pytest.raises(InternalCheckError, match="ill-defined"):
+            maps.exact(whole, halved, whole, blocks=1, group="halved")
+    assert maps.exact(whole, whole, whole, blocks=1, group="whole") is False
+    for _ in ("first use", "reuse"):
+        with pytest.raises(InternalCheckError, match="ill-defined"):
+            maps.exact(mod_two, whole, whole, blocks=1, group="whole")
+    assert maps.exact(whole, whole, whole, blocks=1, group="whole") is False
 
 
 def test_pp_checker_examples():
@@ -348,6 +428,69 @@ def test_harness_memo_lasts_one_call(monkeypatch):
         calls.clear()
         equivalence_harness(8, 40, seed=11)
         assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("jobs,round_size", [(1, 4096), (2, 4096), (3, 4096), (3, 16)])
+def test_each_distinct_draw_is_checked_once(monkeypatch, tmp_path, jobs, round_size):
+    # every purity_report call, forked children's included, appends a line;
+    # 40 trials in rounds of 16 span three rounds
+    modulus, trials, seed = 8, 40, 11
+    expected = reference_harness(modulus, trials, seed)
+    first = {}
+    for i in range(trials):
+        first.setdefault(repr(random_ses(modulus, seed=f"{seed}:{i}")), i)
+    log = tmp_path / "reports.txt"
+    report = purity.purity_report
+
+    def logged(seq, bounds):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {seq!r}\n")
+        return report(seq, bounds)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(purity, "HARNESS_ROUND", round_size)
+    monkeypatch.setattr(purity, "purity_report", logged)
+    assert equivalence_harness(modulus, trials, seed, jobs=jobs) == expected
+    checked = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    seqs = [seq for _, seq in checked]
+    assert len(seqs) == len(set(seqs))
+    assert set(seqs) == set(first)
+    # the worker whose share i::jobs holds the first draw checks it, in the
+    # first draw's round; worker 0 is this process
+    workers = {}
+    for pid, seq in checked:
+        i = first[seq]
+        assert (int(pid) == os.getpid()) == (i % jobs == 0), (i, jobs)
+        workers.setdefault((i // round_size, i % jobs), set()).add(pid)
+    assert all(len(pids) == 1 for pids in workers.values())
+
+
+def test_harness_fills_shared_tables_before_forking(monkeypatch):
+    # with two workers, a module read by both has its table filled in this
+    # process; one read only by the child's sequences is left to the child
+    modulus, trials, seed = 8, 40, 11
+    readers = {}
+    seen = set()
+    for i in range(trials):
+        seq = random_ses(modulus, seed=f"{seed}:{i}")
+        if seq not in seen:
+            seen.add(seq)
+            for m in (seq.left, seq.middle, seq.right):
+                readers.setdefault(m, set()).add(i % 2)
+    module_terms.cache_clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    equivalence_harness(modulus, trials, seed, jobs=2)
+    tables = {m: module_terms(m, DEFAULT_BOUNDS) for m in readers}
+    filled = {m for m, t in tables.items() if None not in t._fp and None not in t._pp}
+    assert {m for m, ks in readers.items() if ks == {0, 1}} <= filled
+    child_only = {m for m, ks in readers.items() if ks == {1}}
+    assert child_only and not child_only & filled
+
+
+def test_harness_refuses_trials_over_budget_before_drawing(monkeypatch):
+    monkeypatch.setattr(purity, "random_ses", lambda *a, **k: pytest.fail("drew a trial"))
+    with pytest.raises(InputError, match=f"over the budget of {MAX_TRIALS}"):
+        equivalence_harness(4, MAX_TRIALS + 1, seed=1)
 
 
 # Fork-split failures.  The worker k of w runs trials k::w, so with jobs=2
