@@ -85,12 +85,6 @@ class CanonicalModule:
     def add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.invariants))
 
-    def neg(self, x: Sequence[int]) -> Vec:
-        return tuple((-a) % d for a, d in zip(x, self.invariants))
-
-    def smul(self, c: int, x: Sequence[int]) -> Vec:
-        return tuple((c * a) % d for a, d in zip(x, self.invariants))
-
     def elements(self) -> Iterator[Vec]:
         return product(*[range(d) for d in self.invariants])
 
@@ -130,7 +124,7 @@ def normalize_presentation(relations: IntMatrix, modulus: int) -> Presentation:
                             IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
     cols = relations.columns()
     cols.extend(tuple(modulus if i == j else 0 for i in range(g)) for j in range(g))
-    reduced = column_echelon(cols, g)
+    reduced = column_echelon(cols, g, modulus)
     rel_rows = [[c[i] for c in reduced] for i in range(g)]
     U, Uinv, diag = snf_left_transforms(rel_rows, g, len(reduced))
     keep = []

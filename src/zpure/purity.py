@@ -64,7 +64,7 @@ from .zmodlin import (
     hermite_extend,
     hermite_key,
     hermite_reduce,
-    snf_diagonal,
+    smith_reduce,
 )
 
 CHECKER_NAMES = ("hom_lifting", "split", "fp_functors", "pp_pairs", "tensor", "dual_split")
@@ -383,7 +383,8 @@ def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
     rows = [[entries[i][j] * hj // gi % hj for i, gi in enumerate(g)]
             + [hj if k == j else 0 for k in range(len(h))]
             for j, hj in enumerate(h)]
-    return tuple(s for s in snf_diagonal(rows, len(h), len(g) + len(h)) if s != 1)
+    smith_reduce(rows, len(h), len(g) + len(h))
+    return tuple(rows[j][j] for j in range(len(h)) if rows[j][j] != 1)
 
 
 def _is_prime_power(d: int) -> bool:

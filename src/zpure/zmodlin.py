@@ -14,10 +14,12 @@ So does solving: ``hermite_system`` is the key of a system A*x == b
 (mod moduli), from which ``hermite_solve`` reads one solution and
 ``hermite_kernel`` the homogeneous ones, with entries below lcm(moduli).
 
-The Smith form (``_snf_core``) stays only where its transforms choose a
+The Smith form (``smith_reduce``) stays only where its transforms choose a
 basis that the output shows: the generators of ``kernel_mod`` and the
-``project``/``lift`` matrices of ``finmod.normalize_presentation``.  Both
-shrink their input with ``column_echelon`` first.
+``project``/``lift`` matrices of ``finmod.normalize_presentation``.  It is
+one routine: U and V ride along as an identity to the right of the matrix
+and one below it, and only U^-1 is passed separately.  Both callers shrink
+their input with ``column_echelon`` first.
 
 Matrix convention (fixed package-wide): a matrix represents a map acting on
 coordinate *columns*, rows are indexed by the codomain and columns by the
@@ -27,6 +29,7 @@ domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm, prod
 from typing import Optional, Sequence
 
@@ -135,62 +138,40 @@ class IntMatrix:
         return f"IntMatrix({self.tolists()!r})"
 
 
-def _snf_core(S: list[list[int]], m: int, n: int,
-              want_u: bool, want_uinv: bool, want_v: bool):
-    """In-place Smith reduction with optional transform tracking.
+def smith_reduce(S: list[list[int]], m: int, n: int,
+                 inverse: Optional[list[list[int]]] = None) -> None:
+    """Smith-reduce the top-left m x n block of the row list ``S`` in place.
 
-    Classical Euclidean pivoting: repeatedly move a minimal nonzero entry to
-    the pivot position, clear its row and column, and absorb any entry of the
-    remaining block that the pivot does not divide.  This makes the diagonal
-    a divisibility chain without a separate fix-up pass.
+    Classical Euclidean pivoting: move a minimal nonzero entry to the pivot,
+    clear its row and column, and absorb any entry of the remaining block
+    that the pivot does not divide, so the diagonal is a divisibility chain.
+    Row operations act on whole rows and column operations on whole columns,
+    so an identity right of the block comes out as U and one below it as V,
+    with U*A*V the reduced block.  U^-1 cannot ride along, as it takes each
+    row operation's inverse as a column operation: ``inverse``, an m x m
+    identity when given, comes out as U^-1.
     """
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_u else None
-    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_uinv else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in range(m):  # inverse op acts on columns
-                Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+        if inverse is not None:
+            for r in inverse:
+                r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
-        # row_i += c * row_j ; Uinv column j -= c * column i
-        Si, Sj = S[i], S[j]
-        for k in range(n):
-            Si[k] += c * Sj[k]
-        if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                Ui[k] += c * Uj[k]
-        if Uinv is not None:
-            for r in range(m):
-                Uinv[r][j] -= c * Uinv[r][i]
-
-    def row_negate(i):
-        S[i] = [-v for v in S[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-        if Uinv is not None:
-            for r in range(m):
-                Uinv[r][i] = -Uinv[r][i]
+        # row_i += c * row_j ; the inverse's column j -= c * column i
+        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
+        if inverse is not None:
+            for r in inverse:
+                r[j] -= c * r[i]
 
     def col_swap(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        if V is not None:
-            for r in range(n):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
+        for r in S:
+            r[i], r[j] = r[j], r[i]
 
     def col_add(i, j, c):
-        # col_i += c * col_j
-        for r in range(m):
-            S[r][i] += c * S[r][j]
-        if V is not None:
-            for r in range(n):
-                V[r][i] += c * V[r][j]
+        for r in S:
+            r[i] += c * r[j]
 
     t = 0
     while t < min(m, n):
@@ -233,46 +214,43 @@ def _snf_core(S: list[list[int]], m: int, n: int,
                             col_swap(t, j)
                             dirty = True
             d = S[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                Si = S[i]
-                for j in range(t + 1, n):
-                    if Si[j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m) for v in S[i][t + 1:n] if v % d), None)
             if bad is None:
                 break
             row_add(t, bad, 1)
         if S[t][t] < 0:
-            row_negate(t)
+            S[t] = [-v for v in S[t]]
+            if inverse is not None:
+                for r in inverse:
+                    r[t] = -r[t]
         t += 1
-
-    return U, Uinv, V
-
-
-def snf_diagonal(rows: Sequence[Sequence[int]], m: int, n: int) -> list[int]:
-    """The Smith diagonal of an m x n matrix; no transform is tracked."""
-    S = [list(r) for r in rows]
-    _snf_core(S, m, n, False, False, False)
-    return [S[i][i] for i in range(min(m, n))]
 
 
 def snf_left_transforms(rows: Sequence[Sequence[int]], m: int, n: int):
-    """(U, U_inverse, diagonal) with U*A*V = S; V is not tracked."""
-    S = [list(r) for r in rows]
-    U, Uinv, _ = _snf_core(S, m, n, True, True, False)
-    return U, Uinv, [S[i][i] for i in range(min(m, n))]
+    """(U, U_inverse, diagonal) with U*A*V = S for an m x n matrix A: U rides
+    as an identity right of A, U^-1 is ``smith_reduce``'s ``inverse``."""
+    S = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
+    smith_reduce(S, m, n, Uinv)
+    return [r[n:] for r in S], Uinv, [S[i][i] for i in range(min(m, n))]
 
 
-def column_echelon(columns: Sequence[Sequence[int]], dim: int) -> list[Vec]:
+def column_echelon(columns: Sequence[Sequence[int]], dim: int,
+                   modulus: Optional[int] = None) -> list[Vec]:
     """Reduce a generating set of an integer column lattice in Z^dim.
 
     Returns a triangular generating set (at most ``dim`` columns) of the same
     lattice; no transform is tracked, so this is cheap preprocessing for
     presentations with many redundant relation columns.
+
+    With a ``modulus`` whose multiples modulus*e_k lie in the lattice, an
+    entry past 2^64 times the largest of ``modulus`` and the input entries
+    is reduced modulo ``modulus`` when its column joins the basis or a gcd
+    step rewrites its basis column: the lattice stays, the basis stays
+    bounded, and an input that never reaches the bound gives the same output.
     """
+    gate = modulus and modulus << 64  # the bound is at least this
+    bound = 0
     basis: list[Optional[list[int]]] = [None] * dim
     for col in columns:
         vec = list(col)
@@ -284,6 +262,11 @@ def column_echelon(columns: Sequence[Sequence[int]], dim: int) -> list[Vec]:
                 continue
             b = basis[i]
             if b is None:
+                if gate and (max(vec) > gate or min(vec) < -gate):
+                    bound = bound or max(map(abs, chain([modulus], *columns))) << 64
+                    vec[i:] = [e % modulus if abs(e) > bound else e for e in vec[i:]]
+                    if vec[i] == 0:
+                        continue
                 basis[i] = vec
                 break
             a = b[i]
@@ -299,6 +282,9 @@ def column_echelon(columns: Sequence[Sequence[int]], dim: int) -> list[Vec]:
                     bk, vk = b[k], vec[k]
                     b[k] = x * bk + y * vk
                     vec[k] = -vg * bk + ag * vk
+                if gate and (max(b) > gate or min(b) < -gate):
+                    bound = bound or max(map(abs, chain([modulus], *columns))) << 64
+                    b[i + 1:] = [e % modulus if abs(e) > bound else e for e in b[i + 1:]]
                 i += 1
     return [tuple(b) for b in basis if b is not None]
 
@@ -484,11 +470,13 @@ def kernel_mod(A: IntMatrix, target_moduli: Sequence[int]) -> list[Vec]:
     reduced = [list(v) for v in column_echelon(rows, k + r)]
     m = len(reduced)
     width = k + r
-    _, _, V = _snf_core(reduced, m, width, False, False, True)
-    rank = sum(1 for i in range(min(m, width)) if reduced[i][i])
+    # V rides along as an identity below the echelon rows
+    S = reduced + [[int(i == j) for j in range(width)] for i in range(width)]
+    smith_reduce(S, m, width)
+    rank = sum(1 for i in range(min(m, width)) if S[i][i])
     gens = []
     for j in range(rank, width):
-        col = tuple(V[i][j] for i in range(k))
+        col = tuple(S[m + i][j] for i in range(k))
         if any(col):
             gens.append(col)
     return gens

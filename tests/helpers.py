@@ -21,7 +21,7 @@ from zpure.funcat import (
     functor_from_values,
 )
 from zpure.purity import InducedTerm, fp_term, induced_exact
-from zpure.zmodlin import IntMatrix, _snf_core, solve_mod_many
+from zpure.zmodlin import IntMatrix, smith_reduce, solve_mod_many
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,22 @@ class SnfResult:
 def smith_normal_form(A: IntMatrix) -> SnfResult:
     """Smith normal form with all transforms; see SnfResult for invariants."""
     m, n = A.rows, A.cols
-    S = [list(row) for row in A.entries]
-    U, Uinv, V = _snf_core(S, m, n, True, True, True)
+    S, Uinv = smith_riders(A.entries, m, n)
+    smith_reduce(S, m, n, Uinv)
     return SnfResult(
-        U=IntMatrix.from_rows(U, cols=m),
-        S=IntMatrix.from_rows(S, cols=n),
-        V=IntMatrix.from_rows(V, cols=n),
+        U=IntMatrix.from_rows([r[n:] for r in S[:m]], cols=m),
+        S=IntMatrix.from_rows([r[:n] for r in S[:m]], cols=n),
+        V=IntMatrix.from_rows(S[m:], cols=n),
         u_inv=IntMatrix.from_rows(Uinv, cols=m),
     )
+
+
+def smith_riders(rows, m: int, n: int):
+    """The input of ``smith_reduce`` with every transform riding: the m x n
+    matrix with I_m to its right and I_n below it, and an I_m inverse."""
+    S = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    S += [[int(i == j) for j in range(n)] for i in range(n)]
+    return S, [[int(i == j) for j in range(m)] for i in range(m)]
 
 
 def inverse(f: ModuleMap) -> ModuleMap:

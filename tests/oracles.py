@@ -495,11 +495,154 @@ def reference_validate_functor(cat, variance, values, actions):
 
 
 # ---------------------------------------------------------------------------
-# The congruence solver and row echelon as first written: the augmented
-# system [A | diag(moduli)] is Smith-reduced once with both transforms, and
-# the Smith input of ``kernel_mod`` was shrunk by a sort-based row echelon.
+# The Smith reduction, congruence solver and row echelon as first written.
+# ``reference_snf_core`` tracks U, U^-1 and V behind flags; it is the
+# reference for ``zpure.zmodlin.smith_reduce``.  The solver Smith-reduces the
+# augmented system [A | diag(moduli)] once with both transforms, and the
+# Smith input of ``kernel_mod`` was shrunk by a sort-based row echelon.
 # They are the references for ``zpure.zmodlin.hermite_solve`` and for the
 # ``column_echelon`` step of ``zpure.zmodlin.kernel_mod``.
+
+
+def reference_snf_core(S: list[list[int]], m: int, n: int,
+                       want_u: bool, want_uinv: bool, want_v: bool):
+    """In-place Smith reduction with optional transform tracking.
+
+    Classical Euclidean pivoting: repeatedly move a minimal nonzero entry to
+    the pivot position, clear its row and column, and absorb any entry of the
+    remaining block that the pivot does not divide.  This makes the diagonal
+    a divisibility chain without a separate fix-up pass.
+    """
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_u else None
+    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_uinv else None
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_v else None
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+        if Uinv is not None:
+            for r in range(m):  # inverse op acts on columns
+                Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+
+    def row_add(i, j, c):
+        # row_i += c * row_j ; Uinv column j -= c * column i
+        Si, Sj = S[i], S[j]
+        for k in range(n):
+            Si[k] += c * Sj[k]
+        if U is not None:
+            Ui, Uj = U[i], U[j]
+            for k in range(m):
+                Ui[k] += c * Uj[k]
+        if Uinv is not None:
+            for r in range(m):
+                Uinv[r][j] -= c * Uinv[r][i]
+
+    def row_negate(i):
+        S[i] = [-v for v in S[i]]
+        if U is not None:
+            U[i] = [-v for v in U[i]]
+        if Uinv is not None:
+            for r in range(m):
+                Uinv[r][i] = -Uinv[r][i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            S[r][i], S[r][j] = S[r][j], S[r][i]
+        if V is not None:
+            for r in range(n):
+                V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    def col_add(i, j, c):
+        # col_i += c * col_j
+        for r in range(m):
+            S[r][i] += c * S[r][j]
+        if V is not None:
+            for r in range(n):
+                V[r][i] += c * V[r][j]
+
+    t = 0
+    while t < min(m, n):
+        piv = None
+        best = None
+        for i in range(t, m):
+            Si = S[i]
+            for j in range(t, n):
+                v = Si[j]
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+
+        while True:
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(t + 1, m):
+                    if S[i][t]:
+                        q = S[i][t] // S[t][t]
+                        row_add(i, t, -q)
+                        if S[i][t]:
+                            row_swap(t, i)
+                            dirty = True
+                for j in range(t + 1, n):
+                    if S[t][j]:
+                        q = S[t][j] // S[t][t]
+                        col_add(j, t, -q)
+                        if S[t][j]:
+                            col_swap(t, j)
+                            dirty = True
+            d = S[t][t]
+            bad = None
+            for i in range(t + 1, m):
+                Si = S[i]
+                for j in range(t + 1, n):
+                    if Si[j] % d:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        if S[t][t] < 0:
+            row_negate(t)
+        t += 1
+
+    return U, Uinv, V
+
+
+def reference_kernel_mod(A, target_moduli):
+    """``zpure.zmodlin.kernel_mod`` with its V tracked by ``reference_snf_core``."""
+    from zpure.zmodlin import column_echelon
+
+    r, k = A.rows, A.cols
+    if k == 0:
+        return []
+    rows = [list(A.entries[i]) + [target_moduli[i] if i == j else 0 for j in range(r)]
+            for i in range(r) if target_moduli[i] != 1]
+    if not rows:
+        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
+    reduced = [list(v) for v in column_echelon(rows, k + r)]
+    m = len(reduced)
+    width = k + r
+    _, _, V = reference_snf_core(reduced, m, width, False, False, True)
+    rank = sum(1 for i in range(min(m, width)) if reduced[i][i])
+    gens = []
+    for j in range(rank, width):
+        col = tuple(V[i][j] for i in range(k))
+        if any(col):
+            gens.append(col)
+    return gens
 
 
 class ReferenceModSolver:
@@ -507,7 +650,6 @@ class ReferenceModSolver:
 
     def __init__(self, rows, k, moduli):
         from zpure.errors import InputError
-        from zpure.zmodlin import _snf_core
 
         r = len(moduli)
         for mm in moduli:
@@ -515,7 +657,7 @@ class ReferenceModSolver:
                 raise InputError("moduli must be >= 1")
         S = [list(rows[i]) + [moduli[i] if i == j else 0 for j in range(r)]
              for i in range(r)]
-        U, _, V = _snf_core(S, r, k + r, True, False, True)
+        U, _, V = reference_snf_core(S, r, k + r, True, False, True)
         self.k = k
         self.r = r
         self.U = U

@@ -15,13 +15,15 @@ from zpure.zmodlin import (
     hermite_system,
     kernel_mod,
     key_order,
+    smith_reduce,
+    snf_left_transforms,
     solve_linear_mod,
     solve_mod_many,
 )
 from zpure import zmodlin
 from zpure.errors import InputError
 
-from helpers import smith_normal_form
+from helpers import smith_normal_form, smith_riders
 
 from oracles import (
     ReferenceModSolver,
@@ -30,7 +32,9 @@ from oracles import (
     elementary_invariant_factors,
     enumerate_solutions,
     reference_hermite_key,
+    reference_kernel_mod,
     reference_row_echelon,
+    reference_snf_core,
     span_mod,
 )
 
@@ -92,6 +96,30 @@ def test_snf_random_matches_minor_gcd_oracle(seed):
     expected = elementary_invariant_factors(rows)
     got = [d for d in res.diagonal() if d != 0]
     assert got == expected
+
+
+def _reference_smith(rows, m, n):
+    """S, U, U^-1 and V from the flag-driven reference reduction."""
+    S = [list(r) for r in rows]
+    U, Uinv, V = reference_snf_core(S, m, n, True, True, True)
+    return S, U, Uinv, V
+
+
+def test_smith_reduce_matches_reference_with_every_rider():
+    rng = random.Random("smith-riders")
+    shapes = [(m, n) for m in range(5) for n in range(6)]
+    for trial in range(3000):
+        m, n = shapes[trial % len(shapes)]
+        rows = [[rng.randint(-36, 36) if rng.random() < 0.8 else 0 for _ in range(n)]
+                for _ in range(m)]
+        S, Uinv = smith_riders(rows, m, n)
+        smith_reduce(S, m, n, Uinv)
+        got = ([r[:n] for r in S[:m]], [r[n:] for r in S[:m]], Uinv, S[m:])
+        assert got == _reference_smith(rows, m, n), rows
+        U, U_inverse, diag = snf_left_transforms(rows, m, n)
+        ref_S, ref_U, ref_Uinv, _ = _reference_smith(rows, m, n)
+        assert (U, U_inverse) == (ref_U, ref_Uinv), rows
+        assert diag == [ref_S[i][i] for i in range(min(m, n))]
 
 
 def test_solve_linear_mod_worked_examples():
@@ -265,6 +293,14 @@ def test_kernel_mod_is_unchanged_on_torsion_systems(monkeypatch):
                 if n % d == 0:
                     systems.append((IntMatrix.diagonal([d % e for e in chain]), chain))
     new = [kernel_mod(A, chain) for A, chain in systems]
+    assert new == [reference_kernel_mod(A, chain) for A, chain in systems]
+    for A, chain in systems:
+        rows = [list(r) + [e if i == j else 0 for j in range(len(chain))]
+                for i, (r, e) in enumerate(zip(A.entries, chain))]
+        m, n = len(rows), 2 * len(chain)
+        U, U_inverse, diag = snf_left_transforms(rows, m, n)
+        ref_S, ref_U, ref_Uinv, _ = _reference_smith(rows, m, n)
+        assert (U, U_inverse, diag) == (ref_U, ref_Uinv, [ref_S[i][i] for i in range(m)])
     monkeypatch.setattr(zmodlin, "column_echelon", _old_echelon)
     assert new == [kernel_mod(A, chain) for A, chain in systems]
 
@@ -280,6 +316,43 @@ def test_column_echelon_preserves_lattice():
         before = span_mod([tuple(c) for c in cols], tuple([M] * dim))
         after = span_mod(list(reduced), tuple([M] * dim))
         assert before == after
+        # entries far below the bound are never reduced
+        assert column_echelon(cols, dim, M) == reduced
+
+
+@pytest.mark.parametrize("N", [4, 12, 72, 720])
+def test_bounded_column_echelon_keeps_the_lattice_mod_n(N):
+    rng = random.Random(f"bounded-echelon:{N}")
+    reduced_some = False
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        # entries start above N << 64, so their products pass the bound
+        cols = [[rng.randint(-N << 72, N << 72) for _ in range(dim)]
+                for _ in range(rng.randint(1, 5))]
+        bound = max(abs(v) for c in cols for v in c) << 64
+        cols += [[N if i == j else 0 for i in range(dim)] for j in range(dim)]
+        bounded = column_echelon(cols, dim, N)
+        unbounded = column_echelon(cols, dim)
+        # both lattices contain N*Z^dim, so they are equal when their keys mod N are
+        assert hermite_key(bounded, [N] * dim) == hermite_key(unbounded, [N] * dim)
+        for b in bounded:
+            pivot = next(i for i, v in enumerate(b) if v)
+            assert all(abs(v) <= bound for v in b[pivot + 1:])
+        reduced_some |= bounded != unbounded
+    assert reduced_some
+
+
+def test_bounded_column_echelon_leaves_growth_from_large_inputs():
+    # the relations of one random_ses(36, 8) presentation: entries near 2^60
+    # grow to 83 bits, past 36 << 64 but not 2^64 past the input, and the
+    # printed presentation depends on them
+    cols = [(-218303799847717248, 736165534898912868, -133292566929580516),
+            (-117508101253329393, 396261605498652126, -71748437095476037),
+            (-68696426837920788, 231658550350747866, -41944863435744440),
+            (36, 0, 0), (0, 36, 0), (0, 0, 36)]
+    unbounded = column_echelon(cols, 3)
+    assert max(abs(v) for c in unbounded for v in c) > 36 << 64
+    assert column_echelon(cols, 3, 36) == unbounded
 
 
 def test_hermite_key_is_lattice_invariant():
