@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -359,36 +360,38 @@ class HomModule:
     orders: tuple[int, ...]
     pres: Presentation
 
-    def _coord_index(self, i: int, j: int) -> int:
-        return i * self.source.ngens + j
+    @cached_property
+    def carriers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(g, e/g) per raw coordinate, one row per target generator of order e."""
+        k = self.source.ngens
+        return tuple(tuple((g, e // g) for g in self.orders[i * k:(i + 1) * k])
+                     for i, e in enumerate(self.target.invariants))
+
+    def entries(self, element: Sequence[int]) -> list[list[int]]:
+        """Matrix entries of the map ``element``: raw coordinate c gives (c mod g)(e/g)."""
+        raw = iter([sum(map(mul, row, element)) for row in self.pres.lift.entries])
+        return [[(next(raw) % g) * s for g, s in row] for row in self.carriers]
+
+    def coords(self, entries: Sequence[Sequence[int]]) -> Vec:
+        """The element with these matrix entries, read mod e; each must be a multiple of e/g."""
+        raw = []
+        for row, carrier, e in zip(entries, self.carriers, self.target.invariants):
+            for a, (g, step) in zip(row, carrier):
+                a %= e
+                if a % step:
+                    raise InternalCheckError("hom entry outside the cyclic carrier")
+                raw.append((a // step) % g)
+        return tuple(sum(map(mul, row, raw)) % m
+                     for row, m in zip(self.pres.project.entries, self.module.invariants))
 
     def to_map(self, element: Sequence[int]) -> ModuleMap:
-        coords = self.pres.lift.apply(element)
-        k, n = self.source.ngens, self.target.ngens
-        rows = []
-        for i in range(n):
-            e = self.target.invariants[i]
-            row = []
-            for j in range(k):
-                g = self.orders[self._coord_index(i, j)]
-                row.append((coords[self._coord_index(i, j)] % g) * (e // g))
-            rows.append(tuple(row))
-        return ModuleMap(self.source, self.target, IntMatrix(n, k, tuple(rows)))
+        rows = tuple(map(tuple, self.entries(element)))
+        return ModuleMap(self.source, self.target, IntMatrix(len(rows), self.source.ngens, rows))
 
     def from_map(self, f: ModuleMap) -> Vec:
         if f.domain != self.source or f.codomain != self.target:
             raise InputError("map does not belong to this hom group")
-        coords = []
-        for i in range(self.target.ngens):
-            e = self.target.invariants[i]
-            for j in range(self.source.ngens):
-                g = self.orders[self._coord_index(i, j)]
-                step = e // g
-                a = f.matrix.entries[i][j]
-                if a % step:
-                    raise InternalCheckError("hom entry outside the cyclic carrier")
-                coords.append((a // step) % g)
-        return self.module.reduce(self.pres.project.apply(coords))
+        return self.coords(f.matrix.entries)
 
     def maps(self) -> Iterator[ModuleMap]:
         for el in self.module.elements():

@@ -13,9 +13,11 @@ computed once and checked for associativity once.
 
 An additive functor is stored by its values (canonical modules; D is
 Z/N-linear, so values are automatically Z/N-modules) and by its action on
-each canonical generator.  Identities, types, hom-group torsion and the
-composition table are verified at construction, on the actions' integer
-matrices.  Natural transformations solve one congruence system with the
+each canonical generator; identities, types, hom-group torsion and the
+composition table are verified at construction, on integer matrices.
+Actions move hom elements through the raw cyclic coordinates that
+``HomModule.entries`` and ``HomModule.coords`` own, building no ModuleMap per
+element.  Natural transformations solve one congruence system with the
 modular Hermite kernel ``zmodlin.hermite_kernel``, whose entries never exceed N.
 """
 
@@ -215,14 +217,6 @@ def functor_from_values(cat: IndexCategoryD, variance: str,
 # Hom-group plumbing
 
 
-def _carriers(hom: HomModule) -> list[list[tuple[int, int]]]:
-    """(order g, step e/g) of each raw hom coordinate, one row per target
-    generator of order e: coordinate c stands for the matrix entry c*(e/g)."""
-    k = hom.source.ngens
-    return [[(g, e // g) for g in hom.orders[i * k:(i + 1) * k]]
-            for i, e in enumerate(hom.target.invariants)]
-
-
 def _hom_push(hsrc: HomModule, hdst: HomModule, columns: Sequence[Sequence[int]],
               left: Optional[IntMatrix] = None, right: Optional[IntMatrix] = None,
               proj: Optional[ModuleMap] = None) -> list[Vec]:
@@ -230,36 +224,24 @@ def _hom_push(hsrc: HomModule, hdst: HomModule, columns: Sequence[Sequence[int]]
     hsrc in ``columns``, pushed on to proj's codomain when proj is given.
 
     This is ``hdst.from_map(left @ hsrc.to_map(h) @ right)`` on integer
-    tables: lift to raw hom coordinates, rebuild the entries (c mod g)*(e/g),
-    multiply, reduce mod the target invariants, divide by each carrier step,
-    then project.  Composites of well-defined maps are well defined, so no
-    intermediate ModuleMap is built; the carrier check still runs.
+    tables: ``hsrc.entries`` gives the matrix of h, and ``hdst.coords``
+    reads the product back, carrier check included.  Composites of
+    well-defined maps are well defined, so no intermediate ModuleMap is built.
     """
     k = hsrc.source.ngens
-    steps, steps2 = _carriers(hsrc), _carriers(hdst)
-    lift = hsrc.pres.lift.entries
     lrows = None if left is None else left.entries
     rcols = None if right is None else right.columns()
-    stages = [(hdst.pres.project.entries, hdst.module.invariants)]
-    if proj is not None:
-        stages.append((proj.matrix.entries, proj.codomain.invariants))
     out = []
     for x in columns:
-        raw = iter([sum(map(mul, row, x)) for row in lift])
-        h = [[(next(raw) % g) * s for g, s in row] for row in steps]
+        h = hsrc.entries(x)
         if lrows is not None:
             h = [[sum(a * r[j] for a, r in zip(lrow, h)) for j in range(k)] for lrow in lrows]
         if rcols is not None:
             h = [[sum(map(mul, row, c)) for c in rcols] for row in h]
-        coords = []
-        for row, srow, e in zip(h, steps2, hdst.target.invariants):
-            for a, (g, step) in zip(row, srow):
-                a %= e
-                if a % step:
-                    raise InternalCheckError("hom entry outside the cyclic carrier")
-                coords.append((a // step) % g)
-        for mat, invs in stages:
-            coords = tuple(sum(map(mul, row, coords)) % m for row, m in zip(mat, invs))
+        coords = hdst.coords(h)
+        if proj is not None:
+            coords = tuple(sum(map(mul, row, coords)) % m
+                           for row, m in zip(proj.matrix.entries, proj.codomain.invariants))
         out.append(coords)
     return out
 
@@ -498,10 +480,10 @@ def kan_eval(F: FunctorOnD, c: CanonicalModule) -> CanonicalModule:
 def _hom_scalar(hom: HomModule, gen_image: int, element: Sequence[int]) -> int:
     """Express an element of a cyclic hom group as r times the canonical
     generator (whose matrix entry is gen_image); returns r."""
-    f = hom.to_map(element)
-    if f.matrix.rows == 0 or f.matrix.cols == 0:
+    entries = hom.entries(element)
+    if not entries or not entries[0]:
         return 0
-    entry = f.matrix.entries[0][0]
+    entry = entries[0][0]
     if entry % gen_image:
         raise InternalCheckError("hom element outside the cyclic carrier")
     return entry // gen_image
@@ -708,13 +690,14 @@ def dual_of_hom_check(x: CanonicalModule, cat: IndexCategoryD) -> bool:
         t = tensor_modules(xd.module, cyc)
         h = hom_module(cyc, x)
         hd = dual_module(h.module)
+        # image of 1 under the w-th generator of Hom(Z/d, x)
+        himgs = [[row[0] for row in h.entries(h.module.generator(w))]
+                 for w in range(h.module.ngens)]
         cols = []
         for i in range(t.module.ngens):
             coords = t.pres.lift.col(i)
             mu = []
-            for w in range(h.module.ngens):
-                hw = h.to_map(h.module.generator(w))
-                himg = hw.apply((1,)) if not cyc.is_zero() else x.zero_element()
+            for w, himg in enumerate(himgs):
                 val = 0
                 for p in range(xd.module.ngens):
                     cp = coords[t._coord_index(p, 0)]

@@ -302,12 +302,16 @@ def hermite_key(vectors: Sequence[Sequence[int]], orders: Sequence[int]) -> tupl
     the same subgroup of prod Z/o_i exactly when their keys are equal, and
     that subgroup has order prod(o_i) / prod(p_i).
     """
-    w = len(orders)
+    return _hermite_normalize(_hermite_basis(vectors, orders))
+
+
+def _hermite_basis(vectors: Sequence[Sequence[int]], orders: Sequence[int]) -> list[list[int]]:
+    """The triangular basis of ``hermite_key`` before its normalization."""
     if any(o < 1 for o in orders):
         raise InputError("orders must be >= 1")
-    basis = [[o if i == j else 0 for j in range(w)] for i, o in enumerate(orders)]
+    basis = [[o if i == j else 0 for j in range(len(orders))] for i, o in enumerate(orders)]
     _hermite_insert(basis, vectors, orders)
-    return _hermite_normalize(basis)
+    return basis
 
 
 def hermite_extend(key: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
@@ -351,19 +355,20 @@ def _hermite_insert(basis: list[list[int]], vectors: Sequence[Sequence[int]],
             b[i] = g
 
 
-def _hermite_normalize(basis: list[list[int]]) -> tuple[Vec, ...]:
-    """Reduce every entry above a pivot into [0, pivot); returns the key."""
+def _hermite_normalize(basis: list[list[int]], start: int = 0) -> tuple[Vec, ...]:
+    """Reduce every entry above a pivot into [0, pivot); returns the key's
+    rows from ``start`` on, which only the rows below them change."""
     w = len(basis)
-    for j in range(w):
+    for j in range(start, w):
         row = basis[j]
         p = row[j]
-        for r in range(j):
+        for r in range(start, j):
             q = basis[r][j] // p
             if q:
                 other = basis[r]
                 for k in range(j, w):
                     other[k] -= q * row[k]
-    return tuple(tuple(r) for r in basis)
+    return tuple(tuple(r) for r in basis[start:])
 
 
 def hermite_system(rows: Sequence[Sequence[int]], moduli: Sequence[int],
@@ -375,9 +380,12 @@ def hermite_system(rows: Sequence[Sequence[int]], moduli: Sequence[int],
     when y == x (mod L) for a solution x of rows*x == b, because L*Z^width
     solves the homogeneous system, and no entry exceeds L.
     """
-    cols = [[row[j] for row in rows] + [int(i == j) for i in range(width)]
-            for j in range(width)]
-    return hermite_key(cols, list(moduli) + [lcm(*moduli)] * width)
+    return hermite_key(*_system_columns(rows, moduli, width))
+
+
+def _system_columns(rows: Sequence[Sequence[int]], moduli: Sequence[int], width: int):
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(width)] for j in range(width)]
+    return cols, list(moduli) + [lcm(*moduli)] * width
 
 
 def hermite_kernel(rows: Sequence[Sequence[int]], moduli: Sequence[int],
@@ -389,7 +397,8 @@ def hermite_kernel(rows: Sequence[Sequence[int]], moduli: Sequence[int],
     (0 ; x) for solutions x; its rows from len(moduli) on span them.
     """
     r = len(moduli)
-    return [row[r:] for row in hermite_system(rows, moduli, width)[r:]]
+    basis = _hermite_basis(*_system_columns(rows, moduli, width))
+    return [row[r:] for row in _hermite_normalize(basis, r)]
 
 
 def hermite_solve(key: Sequence[Sequence[int]], b: Sequence[int],

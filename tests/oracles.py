@@ -201,6 +201,15 @@ def reference_hermite_key(vectors, modulus, dim):
     return tuple(tuple(r) for r in rows[:pivot_row])
 
 
+def reference_hermite_kernel(rows, moduli, width):
+    """``zmodlin.hermite_kernel`` as first defined: the tails of the rows of
+    the whole normalized ``hermite_system`` key from len(moduli) on."""
+    from zpure.zmodlin import hermite_system
+
+    r = len(moduli)
+    return [row[r:] for row in hermite_system(rows, moduli, width)[r:]]
+
+
 # ---------------------------------------------------------------------------
 # The pp catalog as first built: every row of [0, N)^width is reduced against
 # every kept key, and formulas are deduplicated by evaluating them on test

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zpure.errors import InputError
+from zpure.errors import InputError, InternalCheckError
 from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
@@ -234,6 +234,29 @@ def test_hom_module_against_enumeration(n_mod):
         assert fsum == fa + fb
         # round trip
         assert h.from_map(fa) == h.module.reduce(a)
+
+
+def test_hom_entries_and_coords_are_to_map_and_from_map():
+    rng = random.Random("hom-codec")
+    for n_mod in (4, 6, 8, 9, 12, 24, 36, 72):
+        for _ in range(10):
+            h = hom_module(random_module(n_mod, rng, 3), random_module(n_mod, rng, 3))
+            x = tuple(rng.randrange(-n_mod, n_mod) for _ in range(h.module.ngens))
+            entries = h.entries(x)
+            assert tuple(map(tuple, entries)) == h.to_map(x).matrix.entries
+            assert h.coords(entries) == h.from_map(h.to_map(x)) == h.module.reduce(x)
+            # entries are read mod their target invariant
+            shifted = [[a + e * rng.randrange(-3, 4) for a in row]
+                       for row, e in zip(entries, h.target.invariants)]
+            assert h.coords(shifted) == h.module.reduce(x)
+
+
+def test_hom_coords_rejects_entries_outside_the_carrier():
+    h = hom_module(Z(4, 2), Z(4, 4))
+    assert h.carriers == (((2, 2),),)
+    assert h.coords([[6]]) == h.coords([[2]]) == (1,)
+    with pytest.raises(InternalCheckError, match="hom entry outside the cyclic carrier"):
+        h.coords([[1]])
 
 
 def test_hom_modulus_mismatch():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from zpure.errors import InputError, InternalCheckError
-from zpure import funcat
+from zpure import funcat, suites
 from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
@@ -57,6 +57,7 @@ from oracles import (
     reference_fp_functor_from_map,
     reference_fp_induced,
     reference_gen_map,
+    reference_hermite_kernel,
     reference_nat_transformations,
     reference_postcompose,
     reference_precompose,
@@ -576,9 +577,41 @@ def test_nat_solutions_match_kernel_mod(n, monkeypatch):
         big = lcm(*moduli)
         assert all(0 <= v < big for g in gens if big not in g for v in g)
         assert all(sorted(g) == [0] * (total - 1) + [big] for g in gens if big in g)
+        assert gens == reference_hermite_kernel(rows, moduli, total)
         reference = kernel_mod(IntMatrix.from_rows(rows, cols=total), moduli)
         orders = nat.subgroup.ambient_orders
         assert nat.subgroup.key == Subgroup(orders, n, tuple(reference)).key
+
+
+def test_suite_loop_counts_every_outcome_in_order():
+    seen = []
+
+    def checks(cat, rng, i):
+        seen.append((cat.modulus, i))
+        yield f"first: trial {i}", i % 2 == 0
+        yield f"second: trial {i}", rng.random() >= 0
+        yield f"third: trial {i}", i == 3
+
+    result = suites._run("fake", "fake", 6, 4, 1, checks)
+    assert seen == [(6, 0), (6, 1), (6, 2), (6, 3)]
+    assert (result.name, result.passed, result.total) == ("fake", 7, 12)
+    assert result.failures == ("third: trial 0", "first: trial 1", "third: trial 1",
+                               "third: trial 2", "first: trial 3")
+    assert not result.ok
+    empty = suites._run("none", "none", 6, 0, 1, checks)
+    assert (empty.passed, empty.total, empty.failures, empty.ok) == (0, 0, (), True)
+
+
+def test_suite_rng_is_seeded_from_tag_modulus_and_seed():
+    draws = []
+
+    def checks(cat, rng, i):
+        draws.append(rng.random())
+        yield "", True
+
+    suites._run("x", "restrict", 12, 2, 5, checks)
+    rng = random.Random("restrict:12:5")
+    assert draws == [rng.random(), rng.random()]
 
 
 def test_nat_system_that_hung_finishes():

@@ -24,6 +24,7 @@ from zpure.purity import (
     Bounds,
     InducedMaps,
     InducedTerm,
+    _modules_with_bounded_gens,
     check_dual_split,
     check_fp_functors,
     check_hom_lifting,
@@ -40,7 +41,8 @@ from zpure.purity import (
 )
 from zpure import cli, purity
 from zpure.funcat import eval_fp_functor
-from zpure.ppdef import PpPair, enumerate_pp, eval_pp
+from zpure.ppdef import PpFormula, PpPair, enumerate_pp, eval_pp
+from zpure.zmodlin import IntMatrix
 
 from helpers import direct_sum_sequences, fp_functor_exact, inverse, pp_pair_exact
 from oracles import (
@@ -289,6 +291,51 @@ def test_dual_split_examples():
     assert not ok
     assert check_dual_split(split_demo())[0]
     assert check_dual_split(identity_seq(Z(4, 4)))[0]
+
+
+def test_dual_split_reports_a_dual_that_is_not_exact(monkeypatch):
+    real = purity.dual_map
+
+    def zero_dual(f):
+        d = real(f)
+        return ModuleMap.zero(d.domain, d.codomain)
+
+    monkeypatch.setattr(purity, "dual_map", zero_dual)
+    with pytest.raises(InternalCheckError, match="dual of an exact sequence failed exactness"):
+        check_dual_split(z4_nonpure())
+
+
+def _fp_step_formulas(u):
+    """For u: b -> a, phi_u = AND_j (b_j x_j = 0) and
+    psi_u = E y : AND_i (a_i y_i = 0) & AND_j (x_j = sum_i u_ij y_i)."""
+    b, a = u.domain.invariants, u.codomain.invariants
+    k, m = len(b), len(a)
+    phi = PpFormula(k, 0, IntMatrix.from_rows([[bj if j == t else 0 for t in range(k)]
+                                               for j, bj in enumerate(b)], cols=k),
+                    IntMatrix.zeros(k, 0))
+    a_rows = [[0] * k for _ in a] + [[int(j == t) for t in range(k)] for j in range(k)]
+    b_rows = [[ai if i == s else 0 for s in range(m)] for i, ai in enumerate(a)]
+    b_rows += [[-u.matrix.entries[i][j] for i in range(m)] for j in range(k)]
+    psi = PpFormula(k, m, IntMatrix.from_rows(a_rows, cols=k),
+                    IntMatrix.from_rows(b_rows, cols=m))
+    return phi, psi
+
+
+@pytest.mark.parametrize("modulus", [4, 6, 8, 9, 12])
+def test_fp_functor_is_a_pp_pair(modulus):
+    # the fp -> pp step: F_u(X) = phi_u(X) / psi_u(X), key for key
+    modules = _modules_with_bounded_gens(modulus, 3)
+    pairs = 0
+    for u in fp_catalog(modulus, 2):
+        if not u.domain.ngens:
+            continue
+        phi, psi = _fp_step_formulas(u)
+        for x in modules:
+            term = fp_term(u, x)
+            assert eval_pp(phi, x).key == term.carrier, (u, x)
+            assert eval_pp(psi, x).key == term.relations, (u, x)
+            pairs += 1
+    assert pairs >= len(modules)
 
 
 def test_report_canonical_counterexample():

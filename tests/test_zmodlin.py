@@ -31,6 +31,7 @@ from oracles import (
     divisor_chains,
     elementary_invariant_factors,
     enumerate_solutions,
+    reference_hermite_kernel,
     reference_hermite_key,
     reference_kernel_mod,
     reference_row_echelon,
@@ -206,6 +207,19 @@ def test_hermite_kernel_against_enumeration(seed):
     # the same subgroup as the Smith-form kernel
     A = IntMatrix.from_rows(rows, cols=k)
     assert got == span_mod(kernel_mod(A, moduli), tuple([N] * k))
+
+
+def test_hermite_kernel_matches_the_whole_system_key():
+    # normalizing only the kept rows gives the tails of the full key
+    rng = random.Random("hkernel-tails")
+    for _ in range(1200):
+        N = rng.choice([4, 6, 8, 9, 12, 24, 36, 72, 360])
+        divs = [d for d in range(1, N + 1) if N % d == 0]
+        r, k = rng.randint(0, 6), rng.randint(0, 6)
+        moduli = [rng.choice(divs) for _ in range(r)]
+        rows = [[rng.randrange(-N, N) if rng.random() < 0.6 else 0 for _ in range(k)]
+                for _ in range(r)]
+        assert hermite_kernel(rows, moduli, k) == reference_hermite_kernel(rows, moduli, k)
 
 
 def test_hermite_kernel_of_no_conditions_is_everything():
