@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .errors import InputError, InternalCheckError
 from .finmod import CanonicalModule, ModuleMap, ShortSequence, divisors
-from .purity import (Bounds, HarnessSummary, PurityReport, check_fp_budget,
+from .purity import (MAX_TRIALS, Bounds, HarnessSummary, PurityReport, check_fp_budget,
                      equivalence_harness, purity_report)
 from .zmodlin import IntMatrix
 
@@ -254,6 +254,8 @@ def cmd_lemmas(args) -> int:
     try:
         if args.modulus < 1 or args.trials < 1:
             raise InputError("modulus and trials must be positive")
+        if args.trials > MAX_TRIALS:
+            raise InputError(f"{args.trials} trials are over the budget of {MAX_TRIALS}")
         _check_modulus(args.modulus)
         objects = len(divisors(args.modulus))
         if objects > MAX_LEMMA_OBJECTS:

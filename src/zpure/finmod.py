@@ -408,6 +408,84 @@ def hom_module(source: CanonicalModule, target: CanonicalModule) -> HomModule:
     return HomModule(source, target, pres.module, orders, pres)
 
 
+def _hom_push(hsrc: HomModule, hdst: HomModule, columns: Sequence[Sequence[int]],
+              left: Optional[IntMatrix] = None, right: Optional[IntMatrix] = None,
+              proj: Optional[ModuleMap] = None) -> list[Vec]:
+    """Coordinates in hdst of h -> left @ h @ right, for each element h of
+    hsrc in ``columns``, pushed on to proj's codomain when proj is given.
+
+    This is ``hdst.from_map(left @ hsrc.to_map(h) @ right)`` on integer
+    tables: ``hsrc.entries`` gives the matrix of h, and ``hdst.coords``
+    reads the product back, carrier check included.  Composites of
+    well-defined maps are well defined, so no intermediate ModuleMap is built.
+    """
+    k = hsrc.source.ngens
+    lrows = None if left is None else left.entries
+    rcols = None if right is None else right.columns()
+    out = []
+    for x in columns:
+        h = hsrc.entries(x)
+        if lrows is not None:
+            h = [[sum(a * r[j] for a, r in zip(lrow, h)) for j in range(k)] for lrow in lrows]
+        if rcols is not None:
+            h = [[sum(map(mul, row, c)) for c in rcols] for row in h]
+        coords = hdst.coords(h)
+        if proj is not None:
+            coords = tuple(sum(map(mul, row, coords)) % m
+                           for row, m in zip(proj.matrix.entries, proj.codomain.invariants))
+        out.append(coords)
+    return out
+
+
+def _generators(module: CanonicalModule) -> list[Vec]:
+    return [module.generator(i) for i in range(module.ngens)]
+
+
+def postcompose(v: ModuleMap, source: CanonicalModule) -> ModuleMap:
+    """Hom(source, dom v) -> Hom(source, cod v), h -> v o h."""
+    hsrc = hom_module(source, v.domain)
+    hdst = hom_module(source, v.codomain)
+    cols = _hom_push(hsrc, hdst, _generators(hsrc.module), left=v.matrix)
+    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
+
+
+def precompose(u: ModuleMap, target: CanonicalModule) -> ModuleMap:
+    """Hom(cod u, target) -> Hom(dom u, target), h -> h o u."""
+    hsrc = hom_module(u.codomain, target)
+    hdst = hom_module(u.domain, target)
+    cols = _hom_push(hsrc, hdst, _generators(hsrc.module), right=u.matrix)
+    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
+
+
+# ---------------------------------------------------------------------------
+# Character duals
+
+
+def dual_module(module: CanonicalModule) -> HomModule:
+    """M* = Hom(M, Z/N), the characters with values in the N-torsion of Q/Z.
+
+    Raw coordinate c_j of a character chi stands for chi(u_j) = c_j * N / d_j,
+    so M* is M itself with identity ``pres``; ``entries`` gives the values of
+    chi on the generators and ``coords`` reads a character back from them.
+    """
+    return hom_module(module, CanonicalModule.cyclic(module.modulus, module.modulus))
+
+
+def dual_map(f: ModuleMap) -> ModuleMap:
+    """Contravariant dual: precomposition with f on characters."""
+    return precompose(f, CanonicalModule.cyclic(f.domain.modulus, f.domain.modulus))
+
+
+def evaluation_map(module: CanonicalModule) -> ModuleMap:
+    """The canonical map M -> M**, x -> (chi -> chi(x))."""
+    d1 = dual_module(module)
+    d2 = dual_module(d1.module)
+    # values[p][j] = chi_p(u_j) for the p-th generator chi_p of M*
+    values = [d1.entries(chi)[0] for chi in _generators(d1.module)]
+    cols = [d2.coords([row]) for row in zip(*values)]
+    return ModuleMap(module, d2.module, IntMatrix.from_columns(cols, d2.module.ngens))
+
+
 # ---------------------------------------------------------------------------
 # Tensor products
 
@@ -473,75 +551,6 @@ def tensor_pair_map(fl: ModuleMap, fr: ModuleMap) -> ModuleMap:
 def tensor_map(left: CanonicalModule, f: ModuleMap) -> ModuleMap:
     """The induced map id_left (x) f between canonical tensor modules."""
     return tensor_pair_map(ModuleMap.identity(left), f)
-
-
-# ---------------------------------------------------------------------------
-# Character duals
-
-
-@dataclass(frozen=True)
-class DualModule:
-    """Characters of a finite module with values in the N-torsion of Q/Z.
-
-    For a module annihilated by N every character lands in (1/N)Z/Z, which we
-    represent by its numerator in Z/N.  The pairing of chi = (chi_j) with
-    m = (m_j) is sum_j chi_j * m_j * (N / d_j) mod N; it is bilinear and
-    nondegenerate, and |M*| = |M|.
-    """
-
-    original: CanonicalModule
-    module: CanonicalModule
-
-    def pair(self, chi: Sequence[int], m: Sequence[int]) -> int:
-        N = self.original.modulus
-        total = 0
-        for c, v, d in zip(chi, m, self.original.invariants):
-            total += c * v * (N // d)
-        return total % N
-
-
-@lru_cache(maxsize=256)
-def dual_module(module: CanonicalModule) -> DualModule:
-    return DualModule(module, CanonicalModule(module.modulus, module.invariants))
-
-
-def dual_map(f: ModuleMap) -> ModuleMap:
-    """Contravariant dual: precomposition with f on characters."""
-    dom = dual_module(f.codomain).module
-    cod = dual_module(f.domain).module
-    d_inv = f.domain.invariants
-    e_inv = f.codomain.invariants
-    rows = []
-    for j in range(f.domain.ngens):
-        row = []
-        for i in range(f.codomain.ngens):
-            num = f.matrix.entries[i][j] * d_inv[j]
-            if num % e_inv[i]:
-                raise InternalCheckError("dual entry not integral; map was ill-defined")
-            row.append((num // e_inv[i]) % d_inv[j])
-        rows.append(tuple(row))
-    return ModuleMap(dom, cod, IntMatrix(f.domain.ngens, f.codomain.ngens, tuple(rows)))
-
-
-def evaluation_map(module: CanonicalModule) -> ModuleMap:
-    """The canonical map M -> M** computed through the pairing."""
-    d1 = dual_module(module)
-    d2 = dual_module(d1.module)
-    N = module.modulus
-    cols = []
-    for j in range(module.ngens):
-        gen = module.generator(j)
-        coords = []
-        for p in range(d1.module.ngens):
-            chi = d1.module.generator(p)
-            w = d1.pair(chi, gen)
-            step = N // d2.original.invariants[p]
-            if w % step:
-                raise InternalCheckError("evaluation character not in torsion carrier")
-            coords.append((w // step) % d2.original.invariants[p])
-        cols.append(coords)
-    mat = IntMatrix.from_columns(cols, d2.module.ngens)
-    return ModuleMap(module, d2.module, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,14 @@ An additive functor is stored by its values (canonical modules; D is
 Z/N-linear, so values are automatically Z/N-modules) and by its action on
 each canonical generator; identities, types, hom-group torsion and the
 composition table are verified at construction, on integer matrices.
-Actions move hom elements through the raw cyclic coordinates that
+Actions move hom elements with ``finmod``'s ``precompose``, ``postcompose``
+and ``_hom_push``, through the raw cyclic coordinates that
 ``HomModule.entries`` and ``HomModule.coords`` own, building no ModuleMap per
-element.  Natural transformations solve one congruence system with the
-modular Hermite kernel ``zmodlin.hermite_kernel``, whose entries never exceed N.
+element.  Character duals are the hom groups Hom(-, Z/N) of
+``finmod.dual_module``, so the duality checks build and read characters with
+the same two calls.  Natural transformations solve one congruence system with
+the modular Hermite kernel ``zmodlin.hermite_kernel``, whose entries never
+exceed N.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, InternalCheckError
 from .finmod import (
@@ -37,11 +41,15 @@ from .finmod import (
     ModuleMap,
     Presentation,
     Subgroup,
+    _generators,
+    _hom_push,
     divisors,
     dual_map,
     dual_module,
     hom_module,
     normalize_presentation,
+    postcompose,
+    precompose,
     quotient_by_subgroup,
     random_hom,
     random_module,
@@ -211,59 +219,6 @@ def functor_from_values(cat: IndexCategoryD, variance: str,
     values = tuple(value_of(d) for d in cat.objects)
     actions = tuple(action_of(d, e) for d in cat.objects for e in cat.objects)
     return FunctorOnD(cat, variance, values, actions)
-
-
-# ---------------------------------------------------------------------------
-# Hom-group plumbing
-
-
-def _hom_push(hsrc: HomModule, hdst: HomModule, columns: Sequence[Sequence[int]],
-              left: Optional[IntMatrix] = None, right: Optional[IntMatrix] = None,
-              proj: Optional[ModuleMap] = None) -> list[Vec]:
-    """Coordinates in hdst of h -> left @ h @ right, for each element h of
-    hsrc in ``columns``, pushed on to proj's codomain when proj is given.
-
-    This is ``hdst.from_map(left @ hsrc.to_map(h) @ right)`` on integer
-    tables: ``hsrc.entries`` gives the matrix of h, and ``hdst.coords``
-    reads the product back, carrier check included.  Composites of
-    well-defined maps are well defined, so no intermediate ModuleMap is built.
-    """
-    k = hsrc.source.ngens
-    lrows = None if left is None else left.entries
-    rcols = None if right is None else right.columns()
-    out = []
-    for x in columns:
-        h = hsrc.entries(x)
-        if lrows is not None:
-            h = [[sum(a * r[j] for a, r in zip(lrow, h)) for j in range(k)] for lrow in lrows]
-        if rcols is not None:
-            h = [[sum(map(mul, row, c)) for c in rcols] for row in h]
-        coords = hdst.coords(h)
-        if proj is not None:
-            coords = tuple(sum(map(mul, row, coords)) % m
-                           for row, m in zip(proj.matrix.entries, proj.codomain.invariants))
-        out.append(coords)
-    return out
-
-
-def _generators(module: CanonicalModule) -> list[Vec]:
-    return [module.generator(i) for i in range(module.ngens)]
-
-
-def postcompose(v: ModuleMap, source: CanonicalModule) -> ModuleMap:
-    """Hom(source, dom v) -> Hom(source, cod v), h -> v o h."""
-    hsrc = hom_module(source, v.domain)
-    hdst = hom_module(source, v.codomain)
-    cols = _hom_push(hsrc, hdst, _generators(hsrc.module), left=v.matrix)
-    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
-
-
-def precompose(u: ModuleMap, target: CanonicalModule) -> ModuleMap:
-    """Hom(cod u, target) -> Hom(dom u, target), h -> h o u."""
-    hsrc = hom_module(u.codomain, target)
-    hdst = hom_module(u.domain, target)
-    cols = _hom_push(hsrc, hdst, _generators(hsrc.module), right=u.matrix)
-    return ModuleMap(hsrc.module, hdst.module, IntMatrix.from_columns(cols, hdst.module.ngens))
 
 
 # ---------------------------------------------------------------------------
@@ -640,36 +595,23 @@ def hom_tensor_duality_map(G: FunctorOnD, F: FunctorOnD) -> tuple[ModuleMap, Nat
     A character chi of the coend goes to the transformation whose component
     at d sends y in F(d) to the character x -> chi(inj_d(x (x) y)) of G(d).
     """
-    cat = G.category
     coend = coend_tensor(G, F)
     c_star = dual_module(coend.group)
-    g_star = dual_functor(G)
-    nat = nat_transformations(F, g_star)
-    N = cat.modulus
-    # images[i_d][p][q] = inj_d(pure(p-th generator of G(d), q-th of F(d)))
+    nat = nat_transformations(F, dual_functor(G))
+    duals = [dual_module(gd) for gd in G.values]
+    # images[i_d][q][p] = inj_d(pure(p-th generator of G(d), q-th of F(d)))
     images = []
-    for i_d, d in enumerate(cat.objects):
-        gd, fd = G.value(d), F.value(d)
-        tmod, inj = tensor_modules(gd, fd), coend.injections[i_d]
-        images.append([[inj.apply(tmod.pure(gd.generator(p), fd.generator(q)))
-                        for q in range(fd.ngens)] for p in range(gd.ngens)])
+    for gd, fd, inj in zip(G.values, F.values, coend.injections):
+        tmod = tensor_modules(gd, fd)
+        images.append([[inj.apply(tmod.pure(x, y)) for x in _generators(gd)]
+                       for y in _generators(fd)])
     cols = []
-    for t in range(c_star.module.ngens):
-        scale = N // coend.group.invariants[t]
+    for chi in _generators(c_star.module):
+        (values,) = c_star.entries(chi)
         fams = []
-        for i_d, d in enumerate(cat.objects):
-            fd, dual_gd = F.value(d), g_star.value(d)
-            rows = []
-            for zrow, inv in zip(images[i_d], dual_gd.invariants):
-                step = N // inv
-                row = []
-                for z in zrow:
-                    w = (z[t] * scale) % N
-                    if w % step:
-                        raise InternalCheckError("duality character escapes the torsion carrier")
-                    row.append((w // step) % inv)
-                rows.append(tuple(row))
-            fams.append(ModuleMap(fd, dual_gd, IntMatrix(dual_gd.ngens, fd.ngens, tuple(rows))))
+        for fd, dual, zs in zip(F.values, duals, images):
+            ys = [dual.coords([[sum(map(mul, values, z)) for z in zq]]) for zq in zs]
+            fams.append(ModuleMap(fd, dual.module, IntMatrix.from_columns(ys, dual.module.ngens)))
         cols.append(nat.from_family(fams))
     mat = IntMatrix.from_columns(cols, nat.module.ngens)
     return ModuleMap(c_star.module, nat.module, mat), nat
@@ -683,7 +625,6 @@ def hom_tensor_duality_check(G: FunctorOnD, F: FunctorOnD) -> bool:
 def dual_of_hom_check(x: CanonicalModule, cat: IndexCategoryD) -> bool:
     """Whether x* (x) Z/d and Hom(Z/d, x)* agree at every object d of D,
     via the canonical pairing (chi tensor t)(h) = chi(h(t))."""
-    N = cat.modulus
     xd = dual_module(x)
     for d in cat.objects:
         cyc = cat.cyclic(d)
@@ -691,24 +632,13 @@ def dual_of_hom_check(x: CanonicalModule, cat: IndexCategoryD) -> bool:
         h = hom_module(cyc, x)
         hd = dual_module(h.module)
         # image of 1 under the w-th generator of Hom(Z/d, x)
-        himgs = [[row[0] for row in h.entries(h.module.generator(w))]
-                 for w in range(h.module.ngens)]
+        himgs = [[row[0] for row in h.entries(w)] for w in _generators(h.module)]
         cols = []
         for i in range(t.module.ngens):
             coords = t.pres.lift.col(i)
-            mu = []
-            for w, himg in enumerate(himgs):
-                val = 0
-                for p in range(xd.module.ngens):
-                    cp = coords[t._coord_index(p, 0)]
-                    if cp:
-                        val += cp * himg[p] * (N // x.invariants[p])
-                val %= N
-                step = N // h.module.invariants[w]
-                if val % step:
-                    raise InternalCheckError("dual-of-hom character escapes the carrier")
-                mu.append((val // step) % h.module.invariants[w])
-            cols.append(mu)
+            # the character chi with chi (x) 1 the i-th generator of x* (x) Z/d
+            (chi,) = xd.entries([coords[t._coord_index(p, 0)] for p in range(x.ngens)])
+            cols.append(hd.coords([[sum(map(mul, chi, himg)) for himg in himgs]]))
         mat = IntMatrix.from_columns(cols, hd.module.ngens)
         themap = ModuleMap(t.module, hd.module, mat)
         if not themap.is_bijective():

@@ -694,10 +694,11 @@ def _forked_shares(share: Callable[[int], list], forked: Sequence[int]) -> list:
     return [value for _, value in outcomes]
 
 
-# The harness refuses more trials than MAX_TRIALS before drawing any.  It
-# draws at most HARNESS_ROUND trials at a time and keeps the verdicts of at
-# most HARNESS_ROUND distinct sequences, so its memory stays bounded by one
-# round whatever the trial count.
+# The harness refuses more trials than MAX_TRIALS before drawing any, and
+# `lemmas` before building its index category.  The harness draws at most
+# HARNESS_ROUND trials at a time and keeps the verdicts of at most
+# HARNESS_ROUND distinct sequences, so its memory stays bounded by one round
+# whatever the trial count.
 MAX_TRIALS = 100_000
 HARNESS_ROUND = 4096
 
@@ -763,6 +764,8 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
         raise InputError("modulus must be >= 2")
     if max_gens < 0:
         raise InputError("max_gens must be >= 0")
+    if jobs < 1:
+        raise InputError("jobs must be >= 1")
     bounds.validate()
     if trials > MAX_TRIALS:
         raise InputError(f"{trials} trials are over the budget of {MAX_TRIALS}")

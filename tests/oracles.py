@@ -833,16 +833,123 @@ def reference_tensor_functor(cat, y):
         lambda d, e: tensor_pair_map(ModuleMap.identity(y), reference_gen_map(cat, d, e)))
 
 
+# The character duals as first written: a character of M = (Z/d_j)_j is its
+# numerators chi_j in Z/N, one per generator, paired with m by
+# sum_j chi_j * m_j * (N / d_j) mod N, so M* has M's invariants.  They are the
+# references for ``zpure.finmod``'s duals, which are hom groups Hom(M, Z/N).
+
+
+def reference_dual_module(m):
+    from zpure.finmod import CanonicalModule
+
+    return CanonicalModule(m.modulus, m.invariants)
+
+
+def reference_pair(m, chi, x):
+    """chi(x) in Z/N for a character chi of m and an element x of m."""
+    N = m.modulus
+    total = 0
+    for c, v, d in zip(chi, x, m.invariants):
+        total += c * v * (N // d)
+    return total % N
+
+
+def reference_dual_map(f):
+    """Contravariant dual: precomposition with f on characters."""
+    from zpure.errors import InternalCheckError
+    from zpure.finmod import ModuleMap
+    from zpure.zmodlin import IntMatrix
+
+    dom = reference_dual_module(f.codomain)
+    cod = reference_dual_module(f.domain)
+    d_inv = f.domain.invariants
+    e_inv = f.codomain.invariants
+    rows = []
+    for j in range(f.domain.ngens):
+        row = []
+        for i in range(f.codomain.ngens):
+            num = f.matrix.entries[i][j] * d_inv[j]
+            if num % e_inv[i]:
+                raise InternalCheckError("dual entry not integral; map was ill-defined")
+            row.append((num // e_inv[i]) % d_inv[j])
+        rows.append(tuple(row))
+    return ModuleMap(dom, cod, IntMatrix(f.domain.ngens, f.codomain.ngens, tuple(rows)))
+
+
+def reference_evaluation_map(module):
+    """The canonical map M -> M** computed through the pairing."""
+    from zpure.errors import InternalCheckError
+    from zpure.finmod import ModuleMap
+    from zpure.zmodlin import IntMatrix
+
+    d1 = reference_dual_module(module)
+    d2 = reference_dual_module(d1)
+    N = module.modulus
+    cols = []
+    for j in range(module.ngens):
+        gen = module.generator(j)
+        coords = []
+        for p in range(d1.ngens):
+            w = reference_pair(module, d1.generator(p), gen)
+            step = N // d1.invariants[p]
+            if w % step:
+                raise InternalCheckError("evaluation character not in torsion carrier")
+            coords.append((w // step) % d1.invariants[p])
+        cols.append(coords)
+    return ModuleMap(module, d2, IntMatrix.from_columns(cols, d2.ngens))
+
+
 def reference_dual_functor(F):
-    from zpure.finmod import dual_map, dual_module
     from zpure.funcat import functor_from_values
 
     objs = F.category.objects
     n = len(objs)
     return functor_from_values(
         F.category, "contravariant" if F.is_covariant() else "covariant",
-        lambda d: dual_module(F.values[objs.index(d)]).module,
-        lambda d, e: dual_map(F.actions[objs.index(d) * n + objs.index(e)]))
+        lambda d: reference_dual_module(F.values[objs.index(d)]),
+        lambda d, e: reference_dual_map(F.actions[objs.index(d) * n + objs.index(e)]))
+
+
+def reference_hom_tensor_duality_map(G, F):
+    """The canonical map (G (x) F)* -> Nat(F, G*), characters as numerators."""
+    from zpure.errors import InternalCheckError
+    from zpure.finmod import ModuleMap, tensor_modules
+    from zpure.funcat import coend_tensor, nat_transformations
+    from zpure.zmodlin import IntMatrix
+
+    cat = G.category
+    coend = coend_tensor(G, F)
+    c_star = reference_dual_module(coend.group)
+    g_star = reference_dual_functor(G)
+    nat = nat_transformations(F, g_star)
+    N = cat.modulus
+    # images[i_d][p][q] = inj_d(pure(p-th generator of G(d), q-th of F(d)))
+    images = []
+    for i_d, d in enumerate(cat.objects):
+        gd, fd = G.value(d), F.value(d)
+        tmod, inj = tensor_modules(gd, fd), coend.injections[i_d]
+        images.append([[inj.apply(tmod.pure(gd.generator(p), fd.generator(q)))
+                        for q in range(fd.ngens)] for p in range(gd.ngens)])
+    cols = []
+    for t in range(c_star.ngens):
+        scale = N // coend.group.invariants[t]
+        fams = []
+        for i_d, d in enumerate(cat.objects):
+            fd, dual_gd = F.value(d), g_star.value(d)
+            rows = []
+            for zrow, inv in zip(images[i_d], dual_gd.invariants):
+                step = N // inv
+                row = []
+                for z in zrow:
+                    w = (z[t] * scale) % N
+                    if w % step:
+                        raise InternalCheckError("duality character escapes the torsion carrier")
+                    row.append((w // step) % inv)
+                rows.append(tuple(row))
+            fams.append(ModuleMap(fd, dual_gd, IntMatrix(dual_gd.ngens, fd.ngens, tuple(rows))))
+        cols.append(nat.from_family(fams))
+    mat = IntMatrix.from_columns(cols, nat.module.ngens)
+    return ModuleMap(c_star, nat.module, mat), nat
 
 
 def reference_coend_tensor(G, F):

@@ -427,6 +427,33 @@ def test_random_refuses_trials_over_budget_quickly(run_cli, monkeypatch):
     assert f"over the budget of {MAX_TRIALS}" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_random_refuses_jobs_below_one(run_cli, monkeypatch, jobs):
+    _refuse_builds(monkeypatch)
+    code, out, err = run_cli("random", "--modulus", "4", "--trials", "3", "--jobs", jobs)
+    assert code == 2
+    assert _one_error_line(out, err)
+    assert "jobs must be >= 1" in err
+
+
+def test_lemmas_refuses_trials_over_budget_quickly(run_cli, monkeypatch):
+    import time
+
+    from zpure.purity import MAX_TRIALS
+
+    _refuse_builds(monkeypatch)
+    t0 = time.perf_counter()
+    code, out, err = run_cli("lemmas", "--modulus", "2", "--trials", str(MAX_TRIALS + 1))
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert _one_error_line(out, err)
+    assert f"over the budget of {MAX_TRIALS}" in err
+    calls = []
+    monkeypatch.setattr(cli, "run_all_suites", lambda *args: calls.append(args) or [])
+    code, _, _ = run_cli("lemmas", "--modulus", "2", "--trials", str(MAX_TRIALS), "--seed", "1")
+    assert code == 0 and calls == [(2, MAX_TRIALS, 1)]
+
+
 def test_fp_budget_guards_the_library():
     from zpure.errors import InputError
     from zpure.purity import Bounds, equivalence_harness, fp_catalog
@@ -435,6 +462,9 @@ def test_fp_budget_guards_the_library():
         fp_catalog(2 ** 39, 2)
     with pytest.raises(InputError, match="fp catalog"):
         equivalence_harness(72, 1, 0, bounds=Bounds(fp_depth=4))
+    for jobs in (0, -1):
+        with pytest.raises(InputError, match="jobs must be >= 1"):
+            equivalence_harness(4, 3, 0, jobs=jobs)
 
 
 def test_cli_import_leaves_out_the_process_pool():

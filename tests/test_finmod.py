@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from math import gcd, prod
 from pathlib import Path
 
@@ -43,6 +43,10 @@ from oracles import (
     apply_matrix,
     module_elements,
     reference_divisors,
+    reference_dual_map,
+    reference_dual_module,
+    reference_evaluation_map,
+    reference_pair,
     span_mod,
 )
 
@@ -338,7 +342,7 @@ def test_dual_pairing_nondegenerate():
     # characters with all pairings zero must be zero
     for chi in d.module.elements():
         if any(chi):
-            assert any(d.pair(chi, x) for x in m.elements())
+            assert any(d.to_map(chi).apply(x)[0] for x in m.elements())
     # and |M*| = |M|
     assert d.module.cardinality == m.cardinality
 
@@ -364,7 +368,44 @@ def test_dual_map_contravariant():
         fd = dual_map(f)
         for chi in db.module.elements():
             for x in a.elements():
-                assert da.pair(fd.apply(chi), x) == db.pair(chi, f.apply(x))
+                assert da.to_map(fd.apply(chi)).apply(x)[0] == db.to_map(chi).apply(f.apply(x))[0]
+
+
+DUAL_MODULI = (4, 6, 8, 9, 12, 24, 36, 72)
+
+
+def _modules_up_to(n, gens):
+    """Every module over Z/n with at most ``gens`` generators."""
+    divs = [d for d in reference_divisors(n) if d >= 2]
+    for k in range(gens + 1):
+        for chain in combinations_with_replacement(divs, k):
+            if all(b % a == 0 for a, b in zip(chain, chain[1:])):
+                yield Z(n, *chain)
+
+
+@pytest.mark.parametrize("n", DUAL_MODULI)
+def test_dual_module_is_the_module_with_identity_presentation(n):
+    count = 0
+    for m in _modules_up_to(n, 3):
+        d = dual_module(m)
+        assert d.module == m == reference_dual_module(m)
+        assert d.pres.project == d.pres.lift == IntMatrix.identity(m.ngens), m
+        count += 1
+    assert count > len(reference_divisors(n))
+
+
+@pytest.mark.parametrize("n", DUAL_MODULI)
+def test_duals_match_reference(n):
+    """dual_map, evaluation_map and the pairing against the numerator codec."""
+    for i in range(300):
+        rng = random.Random(f"dual-oracle:{n}:{i}")
+        a, b = random_module(n, rng, 3), random_module(n, rng, 3)
+        f = random_hom(a, b, rng)
+        assert dual_map(f) == reference_dual_map(f), (n, i)
+        assert evaluation_map(b) == reference_evaluation_map(b), (n, i)
+        chi = tuple(rng.randrange(e) for e in b.invariants)
+        x = tuple(rng.randrange(e) for e in b.invariants)
+        assert dual_module(b).to_map(chi).apply(x)[0] == reference_pair(b, chi, x), (n, i)
 
 
 # --------------------------------------------------------------------------

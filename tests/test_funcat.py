@@ -34,6 +34,7 @@ from zpure.funcat import (
     fp_functor_from_map,
     fp_induced,
     hom_tensor_duality_check,
+    hom_tensor_duality_map,
     kan_eval,
     nat_transformations,
     postcompose,
@@ -58,6 +59,7 @@ from oracles import (
     reference_fp_induced,
     reference_gen_map,
     reference_hermite_kernel,
+    reference_hom_tensor_duality_map,
     reference_nat_transformations,
     reference_postcompose,
     reference_precompose,
@@ -689,6 +691,22 @@ def test_nat_transformations_match_reference(n):
                  (F, dual_functor(restrict_module(cat, y))))
         for A, B in pairs:
             assert nat_transformations(A, B) == reference_nat_transformations(A, B), (n, i)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 9, 12, 24, 36, 72))
+def test_hom_tensor_duality_map_matches_reference(n):
+    """Characters through HomModule against the numerator codec, on seeded
+    (G, F) pairs drawn as the lemma suite draws them."""
+    cat = build_index_category(n)
+    rng = random.Random(f"duality-oracle:{n}")
+    nonzero = 0
+    for i in range(60):
+        G = random_contra_functor(cat, rng)
+        F = random_functor(cat, rng)
+        themap = hom_tensor_duality_map(G, F)
+        assert themap == reference_hom_tensor_duality_map(G, F), (n, i)
+        nonzero += not themap[0].domain.is_zero()
+    assert nonzero >= 8, nonzero
 
 
 @pytest.mark.parametrize("n", (4, 12, 36))
