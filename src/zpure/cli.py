@@ -138,12 +138,7 @@ def report_document(seq: ShortSequence, report: PurityReport,
         "kind": "purity-report",
         "version": __version__,
         "sequence": sequence_document(seq),
-        "bounds": {
-            "pp_free": report.bounds.pp_free,
-            "pp_exists": report.bounds.pp_exists,
-            "pp_rows": report.bounds.pp_rows,
-            "fp_depth": report.bounds.fp_depth,
-        },
+        "bounds": report.bounds.to_dict(),
         "seed": seed,
         "verdicts": dict(report.verdicts),
         "witnesses": dict(report.witnesses),

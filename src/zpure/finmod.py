@@ -437,8 +437,9 @@ def _hom_push(hsrc: HomModule, hdst: HomModule, columns: Sequence[Sequence[int]]
     return out
 
 
-def _generators(module: CanonicalModule) -> list[Vec]:
-    return [module.generator(i) for i in range(module.ngens)]
+@lru_cache(maxsize=1024)
+def _generators(module: CanonicalModule) -> tuple[Vec, ...]:
+    return tuple(module.generator(i) for i in range(module.ngens))
 
 
 def postcompose(v: ModuleMap, source: CanonicalModule) -> ModuleMap:
@@ -494,8 +495,9 @@ def evaluation_map(module: CanonicalModule) -> ModuleMap:
 class TensorModule:
     """left tensor right as a canonical module plus the pure-tensor map.
 
-    Coordinate (p, j) has order gcd(c_p, d_j) and carries the pure tensor of
-    the p-th left generator with the j-th right generator.
+    Raw coordinate (p, j), at p * right.ngens + j, has order gcd(c_p, d_j)
+    and carries the pure tensor of the p-th left generator with the j-th
+    right generator.
     """
 
     left: CanonicalModule
@@ -504,18 +506,30 @@ class TensorModule:
     orders: tuple[int, ...]
     pres: Presentation
 
-    def _coord_index(self, p: int, j: int) -> int:
-        return p * self.right.ngens + j
+    @cached_property
+    def _project_columns(self) -> list[Vec]:
+        return self.pres.project.columns()
+
+    def entries(self, element: Sequence[int]) -> list[list[int]]:
+        """The raw table of ``element``: entry [p][j] is its (p, j) coordinate."""
+        k = self.right.ngens
+        raw = [sum(map(mul, row, element)) for row in self.pres.lift.entries]
+        return [raw[p * k:(p + 1) * k] for p in range(self.left.ngens)]
 
     def pure(self, y: Sequence[int], m: Sequence[int]) -> Vec:
-        y = self.left.reduce(y)
-        m = self.right.reduce(m)
-        coords = [0] * len(self.orders)
-        for p in range(self.left.ngens):
-            for j in range(self.right.ngens):
-                idx = self._coord_index(p, j)
-                coords[idx] = (y[p] * m[j]) % self.orders[idx]
-        return self.module.reduce(self.pres.project.apply(coords))
+        """y (x) m: the project columns of its nonzero raw coordinates y_p m_j, summed."""
+        k = len(m)
+        if len(y) != self.left.ngens or k != self.right.ngens:
+            raise InputError("element has wrong length")
+        orders, cols = self.orders, self._project_columns
+        img = [0] * len(self.module.invariants)
+        for p, a in enumerate(y):
+            if a:
+                for idx, b in enumerate(m, p * k):
+                    c = b and a * b % orders[idx]
+                    if c:
+                        img = [s + c * v for s, v in zip(img, cols[idx])]
+        return tuple([v % e for v, e in zip(img, self.module.invariants)])
 
 
 @lru_cache(maxsize=1024)
@@ -528,24 +542,15 @@ def tensor_modules(left: CanonicalModule, right: CanonicalModule) -> TensorModul
 
 
 def tensor_pair_map(fl: ModuleMap, fr: ModuleMap) -> ModuleMap:
-    """The induced map fl (x) fr between canonical tensor modules."""
+    """The induced map fl (x) fr between canonical tensor modules: raw
+    coordinate (p, j) goes to the Kronecker product of column p of fl with
+    column j of fr."""
     src = tensor_modules(fl.domain, fr.domain)
     dst = tensor_modules(fl.codomain, fr.codomain)
-    rows_out = len(dst.orders)
-    cols_in = len(src.orders)
-    coord = [[0] * cols_in for _ in range(rows_out)]
-    for p in range(fl.domain.ngens):
-        for j in range(fr.domain.ngens):
-            cin = src._coord_index(p, j)
-            for i in range(fl.codomain.ngens):
-                a = fl.matrix.entries[i][p]
-                if not a:
-                    continue
-                for l in range(fr.codomain.ngens):
-                    coord[dst._coord_index(i, l)][cin] = a * fr.matrix.entries[l][j]
-    mat = IntMatrix.from_rows(coord, cols=cols_in)
-    final = dst.pres.project @ mat @ src.pres.lift
-    return ModuleMap(src.module, dst.module, final)
+    cols = [[a * b for a in lcol for b in rcol]
+            for lcol in fl.matrix.columns() for rcol in fr.matrix.columns()]
+    mat = IntMatrix.from_columns(cols, len(dst.orders))
+    return ModuleMap(src.module, dst.module, dst.pres.project @ mat @ src.pres.lift)
 
 
 def tensor_map(left: CanonicalModule, f: ModuleMap) -> ModuleMap:

@@ -377,21 +377,10 @@ def coend_tensor(G: FunctorOnD, F: FunctorOnD) -> CoendResult:
     total = len(orders)
 
     # The relation of (x in G(e), y in F(d)) is G(g_{d,e})x (x) y at d minus
-    # x (x) F(g_{d,e})y at e.  Each pure tensor with one generator factor is
-    # read straight off the tensor presentation's project columns and reduced
-    # as TensorModule.pure reduces it.
-    project_cols = [t.pres.project.columns() for t in tensors]
-
-    def pure_with_generator(i: int, vec: Vec, start: int, stride: int) -> list[int]:
-        t, cols = tensors[i], project_cols[i]
-        img = [0] * t.module.ngens
-        for idx, v in zip(range(start, start + stride * len(vec), stride), vec):
-            c = v % t.orders[idx]
-            if c:
-                img = [s + a * c for s, a in zip(img, cols[idx])]
-        return [v % m for v, m in zip(img, t.module.invariants)]
-
+    # x (x) F(g_{d,e})y at e.
     n = len(cat.objects)
+    g_gens = [_generators(v) for v in G.values]
+    f_gens = [_generators(v) for v in F.values]
     rel_cols: list[list[int]] = []
     for i_d in range(n):
         fd, off_d = F.values[i_d], offsets[i_d]
@@ -401,11 +390,10 @@ def coend_tensor(G: FunctorOnD, F: FunctorOnD) -> CoendResult:
                 continue
             g_cols = G.actions[i_d * n + i_e].matrix.columns()     # G(e) -> G(d)
             f_cols = F.actions[i_d * n + i_e].matrix.columns()     # F(d) -> F(e)
-            r_d, r_e = fd.ngens, F.values[i_e].ngens
             for x, gx in enumerate(g_cols):
                 for y, fy in enumerate(f_cols):
-                    left = pure_with_generator(i_d, gx, y, r_d)
-                    right = pure_with_generator(i_e, fy, x * r_e, 1)
+                    left = tensors[i_d].pure(gx, f_gens[i_d][y])
+                    right = tensors[i_e].pure(g_gens[i_e][x], fy)
                     if any(left) or any(right):
                         col = [0] * total
                         col[off_d:off_d + len(left)] = left
@@ -468,21 +456,12 @@ def coend_evaluation_map(F: FunctorOnD, a: int) -> tuple[CoendResult, ModuleMap]
         act = F.action(d, a)
         gen_img = cat.gen_image(d, a)
         scalars = [_hom_scalar(hom, gen_img, gd.generator(p)) for p in range(gd.ngens)]
-        for col_i in range(t.module.ngens):
-            coords = t.pres.lift.col(col_i)
-            image = [0] * fa.ngens
-            for p in range(gd.ngens):
-                if not scalars[p]:
-                    continue
-                for q in range(fd.ngens):
-                    cpq = coords[t._coord_index(p, q)]
-                    if not cpq:
-                        continue
-                    w = cpq * scalars[p]
-                    for r in range(fa.ngens):
-                        image[r] += w * act.matrix.entries[r][q]
-            for r in range(fa.ngens):
-                W[r][coend.offsets[i_d] + col_i] += image[r]
+        for col_i, gen in enumerate(_generators(t.module)):
+            # gen = sum c_pq h_p (x) y_q with h_p = scalars[p] g_{d,a}, so it
+            # goes to F(g_{d,a}) applied to sum_q (sum_p scalars[p] c_pq) y_q
+            ys = [sum(map(mul, scalars, col)) for col in zip(*t.entries(gen))]
+            for r, v in enumerate(act.matrix.apply(ys)):
+                W[r][coend.offsets[i_d] + col_i] += v
     Wm = IntMatrix.from_rows(W, cols=total)
     final = Wm @ coend.pres.lift
     return coend, ModuleMap(coend.group, fa, final)
@@ -634,10 +613,9 @@ def dual_of_hom_check(x: CanonicalModule, cat: IndexCategoryD) -> bool:
         # image of 1 under the w-th generator of Hom(Z/d, x)
         himgs = [[row[0] for row in h.entries(w)] for w in _generators(h.module)]
         cols = []
-        for i in range(t.module.ngens):
-            coords = t.pres.lift.col(i)
-            # the character chi with chi (x) 1 the i-th generator of x* (x) Z/d
-            (chi,) = xd.entries([coords[t._coord_index(p, 0)] for p in range(x.ngens)])
+        for gen in _generators(t.module):
+            # the character chi with chi (x) 1 this generator of x* (x) Z/d
+            (chi,) = xd.entries([row[0] for row in t.entries(gen)])
             cols.append(hd.coords([[sum(map(mul, chi, himg)) for himg in himgs]]))
         mat = IntMatrix.from_columns(cols, hd.module.ngens)
         themap = ModuleMap(t.module, hd.module, mat)

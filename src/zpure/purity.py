@@ -81,6 +81,18 @@ class Bounds:
     def validate(self):
         if self.pp_free < 1 or self.pp_exists < 0 or self.pp_rows < 0 or self.fp_depth < 0:
             raise InputError("catalog bounds out of range")
+        # a catalog of trivial entries decides nothing, and the checker would
+        # call every impure sequence pure; with one free variable the
+        # annihilator formulas still decide purity without rows
+        if self.fp_depth < 1:
+            raise InputError("fp_depth 0 leaves only the zero functor in the fp catalog")
+        if self.pp_free > 1 and self.pp_rows < 1:
+            raise InputError("pp_rows 0 with more than one free variable leaves only "
+                             "the trivial formula in the pp catalog")
+
+    def to_dict(self) -> dict:
+        return {"pp_free": self.pp_free, "pp_exists": self.pp_exists,
+                "pp_rows": self.pp_rows, "fp_depth": self.fp_depth}
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -603,12 +615,7 @@ class HarnessSummary:
             "modulus": self.modulus,
             "trials": self.trials,
             "seed": self.seed,
-            "bounds": {
-                "pp_free": self.bounds.pp_free,
-                "pp_exists": self.bounds.pp_exists,
-                "pp_rows": self.bounds.pp_rows,
-                "fp_depth": self.bounds.fp_depth,
-            },
+            "bounds": self.bounds.to_dict(),
             "pure_count": self.pure_count,
             "disagreements": self.disagreements,
             "disagreement_trials": list(self.disagreement_trials),
@@ -629,25 +636,17 @@ def _report_verdicts(seq: ShortSequence, bounds: Bounds) -> tuple[tuple[bool, ..
     return tuple(report.verdicts[name] for name in CHECKER_NAMES), report.consensus
 
 
-def _child_outcome(worker: int, data: bytes, status: int):
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or not data:
-        end = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise InternalCheckError(f"harness worker {worker} ended without a result ({end})")
-    return pickle.loads(data)  # bytes written by our own child, in full
-
-
 def _forked_shares(share: Callable[[int], list], forked: Sequence[int]) -> list:
     """[share(0)] + [share(k) for k in forked]: this process runs share(0),
     and each other share runs in one ``os.fork`` child, which sends back
     (True, result) or (False, exception) as one pickle over a pipe and
-    leaves with ``os._exit``.
+    leaves with ``os._exit``.  With nothing in ``forked`` no child is started.
 
-    The harness starts no thread, so forking is safe.  A child's exception
-    is raised here once every child is reaped; a child that ends without a
-    result becomes an InternalCheckError naming it.  If this process fails
-    first, including on KeyboardInterrupt, the children still running are
-    killed and reaped.
+    The harness starts no thread, so forking is safe.  Children are read in
+    order; a child's exception is raised here, and a child that ends without
+    a result becomes an InternalCheckError naming it.  Whenever this process
+    stops early, including on KeyboardInterrupt, the children still running
+    are killed and reaped.
     """
     children = []  # (worker, pid, read end of its pipe)
     reaped = set()
@@ -676,22 +675,25 @@ def _forked_shares(share: Callable[[int], list], forked: Sequence[int]) -> list:
                     os._exit(code)
             os.close(w)
             children.append((k, pid, os.fdopen(r, "rb")))
-        outcomes = [(True, share(0))]
+        results = [share(0)]
         for k, pid, pipe in children:
             data = pipe.read()
-            _, status = os.waitpid(pid, 0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
-            outcomes.append(_child_outcome(k, data, status))
+            if code != 0 or not data:
+                end = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise InternalCheckError(f"harness worker {k} ended without a result ({end})")
+            ok, value = pickle.loads(data)  # bytes written by our own child, in full
+            if not ok:
+                raise value
+            results.append(value)
     finally:
         for _, pid, pipe in children:
             pipe.close()
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
+    return results
 
 
 # The harness refuses more trials than MAX_TRIALS before drawing any, and
@@ -703,49 +705,6 @@ MAX_TRIALS = 100_000
 HARNESS_ROUND = 4096
 
 
-def _round_verdicts(distinct: list[ShortSequence], firsts: list[int], workers: int,
-                    bounds: Bounds, known: dict) -> list[tuple[tuple[bool, ...], bool]]:
-    """The verdicts of a round's distinct sequences, the i-th first drawn at
-    trial firsts[i].
-
-    A sequence in ``known`` (the verdicts of earlier rounds) is not checked
-    again; every other one is checked once, by the worker whose trial share
-    k::workers holds its first draw.  Only workers with a sequence to check
-    are forked.  Before the fork this process fills the tables of the
-    modules that more than one worker reads, so no two workers build one
-    term; a module that one worker reads is left to it.  ``known`` then
-    holds this round's sequences as the most recent, and at most
-    HARNESS_ROUND of them.
-    """
-    results = [known.pop(seq, None) for seq in distinct]
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    for slot, i in enumerate(firsts):
-        if results[slot] is None:
-            shares[i % workers].append(slot)
-    forked = [k for k in range(1, workers) if shares[k]]
-    if forked:
-        readers: dict[CanonicalModule, set[int]] = {}
-        for k, part in enumerate(shares):
-            for slot in part:
-                seq = distinct[slot]
-                for m in (seq.left, seq.middle, seq.right):
-                    readers.setdefault(m, set()).add(k)
-        shared = [m for m, ks in readers.items() if len(ks) > 1]
-        for module in shared[:MAX_MODULE_TABLES]:
-            module_terms(module, bounds).fill()
-
-    def share(k: int) -> list[tuple[tuple[bool, ...], bool]]:
-        return [_report_verdicts(distinct[slot], bounds) for slot in shares[k]]
-
-    for k, verdicts in zip([0, *forked], _forked_shares(share, forked)):
-        for slot, v in zip(shares[k], verdicts):
-            results[slot] = v
-    known.update(zip(distinct, results))
-    for seq in list(known)[:max(0, len(known) - HARNESS_ROUND)]:
-        del known[seq]
-    return results
-
-
 def equivalence_harness(modulus: int, trials: int, seed: int,
                         bounds: Bounds = DEFAULT_BOUNDS, jobs: int = 1,
                         max_gens: int = 3) -> HarnessSummary:
@@ -753,10 +712,11 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
     disagreements.  Deterministic for a given seed regardless of jobs.
 
     This process draws the trials in rounds of at most HARNESS_ROUND and
-    checks each round's sequences over w = harness_workers(jobs, trials)
-    workers, itself being worker 0 (``_round_verdicts``).  A sequence is
-    checked once per call, at its first draw: the verdicts of the last
-    HARNESS_ROUND distinct sequences are kept from round to round.
+    checks each round's new sequences over w = harness_workers(jobs, trials)
+    workers, itself being worker 0; the others are forked only when they
+    have a sequence to check (``_forked_shares``).  A sequence is checked
+    once per call, at its first draw: the verdicts of the last HARNESS_ROUND
+    distinct sequences are kept from round to round.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -780,18 +740,40 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
     false_counts = {name: 0 for name in CHECKER_NAMES}
     split = CHECKER_NAMES.index("split")
     for start in range(0, trials, HARNESS_ROUND):
-        slots: dict[ShortSequence, int] = {}  # the round's distinct sequences
-        order: list[int] = []  # the slot of each trial
-        firsts: list[int] = []  # the trial of each slot's first draw
-        for i in range(start, min(trials, start + HARNESS_ROUND)):
-            seq = random_ses(modulus, seed=f"{seed}:{i}", max_gens=max_gens)
-            slot = slots.setdefault(seq, len(slots))
-            if slot == len(firsts):
-                firsts.append(i)
-            order.append(slot)
-        results = _round_verdicts(list(slots), firsts, workers, bounds, known)
-        for index, slot in enumerate(order, start):
-            verdicts, consensus = results[slot]
+        draws = [random_ses(modulus, seed=f"{seed}:{i}", max_gens=max_gens)
+                 for i in range(start, min(trials, start + HARNESS_ROUND))]
+        # the round's distinct sequences in first-draw order, with the
+        # verdicts known from earlier rounds; the others go to the worker
+        # whose share i::workers holds their first draw
+        current: dict[ShortSequence, Optional[tuple[tuple[bool, ...], bool]]] = {}
+        shares: list[list[ShortSequence]] = [[] for _ in range(workers)]
+        for i, seq in enumerate(draws, start):
+            if seq not in current:
+                current[seq] = known.pop(seq, None)
+                if current[seq] is None:
+                    shares[i % workers].append(seq)
+        # fill the tables of the modules that more than one worker reads, so
+        # no two workers build one term; a module read by one is left to it
+        readers: dict[CanonicalModule, set[int]] = {}
+        for k, part in enumerate(shares):
+            for seq in part:
+                for m in (seq.left, seq.middle, seq.right):
+                    readers.setdefault(m, set()).add(k)
+        shared = [m for m, ks in readers.items() if len(ks) > 1]
+        for module in shared[:MAX_MODULE_TABLES]:
+            module_terms(module, bounds).fill()
+        forked = [k for k in range(1, workers) if shares[k]]
+        checked = _forked_shares(
+            lambda k: [_report_verdicts(seq, bounds) for seq in shares[k]], forked)
+        for k, verdicts in zip([0, *forked], checked):
+            current.update(zip(shares[k], verdicts))
+        # this round's sequences become the most recent, and at most
+        # HARNESS_ROUND verdicts are kept
+        known.update(current)
+        for seq in list(known)[:max(0, len(known) - HARNESS_ROUND)]:
+            del known[seq]
+        for index, seq in enumerate(draws, start):
+            verdicts, consensus = current[seq]
             if not consensus:
                 disagree.append(index)
             if verdicts[split]:

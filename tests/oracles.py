@@ -735,9 +735,91 @@ def reference_row_echelon(rows, width):
 
 # The functor-category constructions as first written: every hom element is
 # realized as a validated ``ModuleMap``, composed, and read back through
-# ``HomModule.from_map``; every coend relation goes through
-# ``TensorModule.pure``.  They are the references for ``zpure.funcat``, which
-# computes the same matrices on integer tables.
+# ``HomModule.from_map``; every pure tensor is projected from its full table
+# of raw coordinates (``reference_pure``).  They are the references for
+# ``zpure.funcat`` and the tensor code of ``zpure.finmod``, which compute the
+# same matrices on integer tables.
+
+
+def _raw_index(t, p, j):
+    """The raw coordinate of the p-th left and j-th right generator of t."""
+    return p * t.right.ngens + j
+
+
+def reference_pure(t, y, m):
+    """The pure tensor y (x) m in the tensor module t: every raw coordinate
+    set to y_p m_j mod its order, then projected."""
+    y = t.left.reduce(y)
+    m = t.right.reduce(m)
+    coords = [0] * len(t.orders)
+    for p in range(t.left.ngens):
+        for j in range(t.right.ngens):
+            idx = _raw_index(t, p, j)
+            coords[idx] = (y[p] * m[j]) % t.orders[idx]
+    return t.module.reduce(t.pres.project.apply(coords))
+
+
+def reference_tensor_pair_map(fl, fr):
+    """fl (x) fr, its raw coordinate matrix filled entry by entry."""
+    from zpure.finmod import ModuleMap, tensor_modules
+    from zpure.zmodlin import IntMatrix
+
+    src = tensor_modules(fl.domain, fr.domain)
+    dst = tensor_modules(fl.codomain, fr.codomain)
+    cols_in = len(src.orders)
+    coord = [[0] * cols_in for _ in range(len(dst.orders))]
+    for p in range(fl.domain.ngens):
+        for j in range(fr.domain.ngens):
+            cin = _raw_index(src, p, j)
+            for i in range(fl.codomain.ngens):
+                a = fl.matrix.entries[i][p]
+                if not a:
+                    continue
+                for l in range(fr.codomain.ngens):
+                    coord[_raw_index(dst, i, l)][cin] = a * fr.matrix.entries[l][j]
+    mat = IntMatrix.from_rows(coord, cols=cols_in)
+    return ModuleMap(src.module, dst.module, dst.pres.project @ mat @ src.pres.lift)
+
+
+def reference_coend_evaluation_map(F, a):
+    """coend(D(-, Z/a), F) -> F(a), each tensor generator read from a lift
+    column of the tensor presentation by raw index."""
+    from zpure.finmod import ModuleMap, hom_module, tensor_modules
+    from zpure.funcat import _hom_scalar, coend_tensor, restrict_module
+    from zpure.zmodlin import IntMatrix
+
+    cat = F.category
+    G = restrict_module(cat, cat.cyclic(a))
+    coend = coend_tensor(G, F)
+    fa = F.value(a)
+    total = len(coend.orders)
+    W = [[0] * total for _ in range(fa.ngens)]
+    for i_d, d in enumerate(cat.objects):
+        gd, fd = G.value(d), F.value(d)
+        if gd.is_zero() or fd.is_zero():
+            continue
+        hom = hom_module(cat.cyclic(d), cat.cyclic(a))
+        t = tensor_modules(gd, fd)
+        act = F.action(d, a)
+        gen_img = cat.gen_image(d, a)
+        scalars = [_hom_scalar(hom, gen_img, gd.generator(p)) for p in range(gd.ngens)]
+        for col_i in range(t.module.ngens):
+            coords = t.pres.lift.col(col_i)
+            image = [0] * fa.ngens
+            for p in range(gd.ngens):
+                if not scalars[p]:
+                    continue
+                for q in range(fd.ngens):
+                    cpq = coords[_raw_index(t, p, q)]
+                    if not cpq:
+                        continue
+                    w = cpq * scalars[p]
+                    for r in range(fa.ngens):
+                        image[r] += w * act.matrix.entries[r][q]
+            for r in range(fa.ngens):
+                W[r][coend.offsets[i_d] + col_i] += image[r]
+    final = IntMatrix.from_rows(W, cols=total) @ coend.pres.lift
+    return coend, ModuleMap(coend.group, fa, final)
 
 
 def reference_gen_map(cat, d, e):
@@ -824,13 +906,14 @@ def reference_restrict_module(cat, c):
 
 
 def reference_tensor_functor(cat, y):
-    from zpure.finmod import ModuleMap, tensor_modules, tensor_pair_map
+    from zpure.finmod import ModuleMap, tensor_modules
     from zpure.funcat import functor_from_values
 
     return functor_from_values(
         cat, "covariant",
         lambda d: tensor_modules(y, cat.cyclic(d)).module,
-        lambda d, e: tensor_pair_map(ModuleMap.identity(y), reference_gen_map(cat, d, e)))
+        lambda d, e: reference_tensor_pair_map(ModuleMap.identity(y),
+                                               reference_gen_map(cat, d, e)))
 
 
 # The character duals as first written: a character of M = (Z/d_j)_j is its
@@ -928,7 +1011,7 @@ def reference_hom_tensor_duality_map(G, F):
     for i_d, d in enumerate(cat.objects):
         gd, fd = G.value(d), F.value(d)
         tmod, inj = tensor_modules(gd, fd), coend.injections[i_d]
-        images.append([[inj.apply(tmod.pure(gd.generator(p), fd.generator(q)))
+        images.append([[inj.apply(reference_pure(tmod, gd.generator(p), fd.generator(q)))
                         for q in range(fd.ngens)] for p in range(gd.ngens)])
     cols = []
     for t in range(c_star.ngens):
@@ -953,7 +1036,7 @@ def reference_hom_tensor_duality_map(G, F):
 
 
 def reference_coend_tensor(G, F):
-    """Coend of G and F with every relation built from ``TensorModule.pure``."""
+    """Coend of G and F with every relation built from ``reference_pure``."""
     from zpure.finmod import ModuleMap, normalize_presentation, tensor_modules
     from zpure.funcat import CoendResult
     from zpure.zmodlin import IntMatrix
@@ -980,8 +1063,8 @@ def reference_coend_tensor(G, F):
                 gx = g_act.apply(ge.generator(x))
                 for y in range(fd.ngens):
                     fy = f_act.apply(fd.generator(y))
-                    left = tensors[i_d].pure(gx, fd.generator(y))
-                    right = tensors[i_e].pure(ge.generator(x), fy)
+                    left = reference_pure(tensors[i_d], gx, fd.generator(y))
+                    right = reference_pure(tensors[i_e], ge.generator(x), fy)
                     col = [0] * total
                     for i, v in enumerate(left):
                         col[offsets[i_d] + i] += v

@@ -412,6 +412,35 @@ def test_fp_budget_refuses_check_and_random_quickly(run_cli, monkeypatch, tmp_pa
         assert "fp catalog" in err and f"budget of {MAX_FP_PAIRS}" in err
 
 
+@pytest.mark.parametrize("bounds,message", [
+    (("--fp-depth", "0"), "fp_depth 0"),
+    (("--pp-free", "2", "--pp-rows", "0"), "pp_rows 0"),
+])
+def test_bounds_that_decide_nothing_are_refused(run_cli, monkeypatch, tmp_path, bounds, message):
+    # such a catalog holds only a trivial entry, so its checker calls every
+    # sequence pure and z4-nonpure would read as a defect
+    _refuse_builds(monkeypatch)
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(BUNDLED_EXAMPLES["z4-nonpure"]))
+    for argv in (("check", str(path)),
+                 ("random", "--modulus", "8", "--trials", "100", "--seed", "3")):
+        code, out, err = run_cli(*argv, *bounds)
+        assert code == 2, argv
+        assert _one_error_line(out, err), argv
+        assert message in err, argv
+
+
+@pytest.mark.parametrize("modulus", ["4", "8"])
+def test_annihilators_decide_purity_without_pp_rows(run_cli, modulus):
+    code, out, _ = run_cli("random", "--modulus", modulus, "--trials", "60", "--seed", "3",
+                           "--pp-free", "1", "--pp-exists", "0", "--pp-rows", "0",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["disagreements"] == 0
+    assert doc["checker_false_counts"]["pp_pairs"] == doc["trials"] - doc["pure_count"] > 0
+
+
 def test_random_refuses_trials_over_budget_quickly(run_cli, monkeypatch):
     import time
 

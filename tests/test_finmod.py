@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
 from math import gcd, prod
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from zpure.finmod import (
     splitting_section,
     tensor_map,
     tensor_modules,
+    tensor_pair_map,
 )
 from zpure.zmodlin import IntMatrix
 
@@ -41,12 +42,15 @@ from oracles import (
     ReferenceModSolver,
     all_homs,
     apply_matrix,
+    divisor_chains,
     module_elements,
     reference_divisors,
     reference_dual_map,
     reference_dual_module,
     reference_evaluation_map,
     reference_pair,
+    reference_pure,
+    reference_tensor_pair_map,
     span_mod,
 )
 
@@ -323,6 +327,43 @@ def test_tensor_map_functorial():
     # composition and identity
     idm = ModuleMap.identity(f.domain)
     assert tensor_map(y, idm) == ModuleMap.identity(src.module)
+
+
+TENSOR_ORACLE_MODULI = (4, 6, 8, 9, 12, 24, 36, 72)
+# pairs of modules with more elements than this are compared on a seeded
+# sample of element pairs, the rest on every pair
+ALL_PAIRS_CAP = 256
+
+
+@pytest.mark.parametrize("n", TENSOR_ORACLE_MODULI)
+def test_tensor_pure_matches_reference(n):
+    """``pure`` against the full raw table, for every pair of modules with at
+    most two generators; ``entries`` of a generator projects back onto it."""
+    rng = random.Random(f"pure-oracle:{n}")
+    modules = [Z(n, *chain) for chain in divisor_chains(n, 2)]
+    for y in modules:
+        for m in modules:
+            t = tensor_modules(y, m)
+            if y.cardinality * m.cardinality <= ALL_PAIRS_CAP:
+                pairs = product(y.elements(), m.elements())
+            else:
+                pairs = [(tuple(rng.randrange(d) for d in y.invariants),
+                          tuple(rng.randrange(d) for d in m.invariants)) for _ in range(16)]
+            for a, b in pairs:
+                assert t.pure(a, b) == reference_pure(t, a, b), (y, m, a, b)
+            for k in range(t.module.ngens):
+                x = t.module.generator(k)
+                raw = [c for row in t.entries(x) for c in row]
+                assert t.module.reduce(t.pres.project.apply(raw)) == x
+
+
+@pytest.mark.parametrize("n", TENSOR_ORACLE_MODULI)
+def test_tensor_pair_map_matches_reference(n):
+    for i in range(60):
+        rng = random.Random(f"tensor-pair-oracle:{n}:{i}")
+        a, b, c, d = (random_module(n, rng, 2) for _ in range(4))
+        fl, fr = random_hom(a, b, rng), random_hom(c, d, rng)
+        assert tensor_pair_map(fl, fr) == reference_tensor_pair_map(fl, fr), (n, i)
 
 
 # --------------------------------------------------------------------------

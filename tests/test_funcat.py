@@ -52,6 +52,7 @@ from zpure.zmodlin import IntMatrix, hermite_kernel, kernel_mod
 
 from oracles import (
     all_homs,
+    reference_coend_evaluation_map,
     reference_coend_tensor,
     reference_comp_coeff,
     reference_dual_functor,
@@ -707,6 +708,22 @@ def test_hom_tensor_duality_map_matches_reference(n):
         assert themap == reference_hom_tensor_duality_map(G, F), (n, i)
         nonzero += not themap[0].domain.is_zero()
     assert nonzero >= 8, nonzero
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 9, 12, 24, 36, 72))
+def test_coend_evaluation_map_matches_reference(n):
+    """Tensor generators read through ``TensorModule.entries`` against the
+    lift columns read by raw index, on seeded functors and objects."""
+    cat = build_index_category(n)
+    rng = random.Random(f"evaluation-oracle:{n}")
+    nonzero = 0
+    for i in range(30):
+        F = random_functor(cat, rng)
+        a = rng.choice(cat.objects)
+        coend, themap = coend_evaluation_map(F, a)
+        assert (coend, themap) == reference_coend_evaluation_map(F, a), (n, i, a)
+        nonzero += not themap.is_zero_map()
+    assert nonzero >= 5, nonzero
 
 
 @pytest.mark.parametrize("n", (4, 12, 36))

@@ -451,6 +451,16 @@ def test_harness_rejects_bad_args():
         equivalence_harness(1, trials=5, seed=1)
     with pytest.raises(InputError):
         purity_report(z4_nonpure(), Bounds(pp_free=0))
+    # catalogs of one trivial entry, which would call every sequence pure
+    for bad in (Bounds(fp_depth=0), Bounds(pp_free=2, pp_rows=0),
+                Bounds(pp_free=3, pp_exists=0, pp_rows=0)):
+        with pytest.raises(InputError):
+            purity_report(z4_nonpure(), bad)
+        with pytest.raises(InputError):
+            equivalence_harness(4, trials=3, seed=1, bounds=bad)
+    for good in (Bounds(fp_depth=1), Bounds(pp_free=1, pp_exists=0, pp_rows=0),
+                 Bounds(pp_free=2, pp_rows=1)):
+        good.validate()
 
 
 
