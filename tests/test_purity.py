@@ -55,6 +55,7 @@ from oracles import (
     reference_fp_functor_exact,
     reference_harness,
     reference_pp_pair_exact,
+    torsion_lifting_facts,
 )
 
 
@@ -85,6 +86,25 @@ def test_hom_lifting_examples():
     assert check_hom_lifting(split_demo())[0]
     assert check_hom_lifting(identity_seq(Z(4, 2, 4)))[0]
 
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 24])
+def test_hom_lifting_witnesses_fail_purity_by_definition(n):
+    # basis-free: the printed target depends on the presentation's basis,
+    # but every witness (d, y) must be d-torsion in C, outside g(M[d]), and
+    # A & dM != dA must hold at d by brute force
+    found = 0
+    for s in range(400):
+        seq = random_ses(n, f"witness:{s}")
+        ok, wit = check_hom_lifting(seq)
+        if ok:
+            continue
+        killed, lifts, pure_at_d = torsion_lifting_facts(seq, wit["cyclic"], wit["target"])
+        assert killed and not lifts and not pure_at_d, (s, wit)
+        found += 1
+        if found == 12:
+            break
+    assert found == 12
 
 def test_split_oracle_examples():
     ok, wit = check_split_oracle(z4_nonpure())
@@ -648,8 +668,9 @@ def test_harness_runs_serially_without_fork(monkeypatch):
     assert equivalence_harness(4, 12, seed=5, jobs=2) == reference_harness(4, 12, 5)
 
 # sha256 of the d-torsion subgroups' generators, project and lift matrices,
-# as the Smith-form solver that first gave Subgroup its relations made them
-TORSION_PRESENTATIONS_SHA256 = "e3aa5e90ba07e563c0c9086c6223ca59df679d9cc4787efe586ec4888341c358"
+# as the Hermite kernel and the Smith reduction over Z/N make them (the
+# integer Smith reduction that made them before gave another basis)
+TORSION_PRESENTATIONS_SHA256 = "3b136c50c6fd6a0fb3da056cf00a895fbbccf83f990ff9b42f782533d682108e"
 
 
 def test_torsion_presentations_are_pinned():

@@ -1,6 +1,9 @@
+import json
 import random
+import time
 from itertools import product
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from zpure.zmodlin import (
 )
 from zpure import zmodlin
 from zpure.errors import InputError
+from zpure.finmod import Subgroup
 
 from helpers import smith_normal_form, smith_riders
 
@@ -106,21 +110,41 @@ def _reference_smith(rows, m, n):
     return S, U, Uinv, V
 
 
+def _mod_matrix(M, N):
+    return [[v % N for v in row] for row in M.entries]
+
+
 def test_smith_reduce_matches_reference_with_every_rider():
-    rng = random.Random("smith-riders")
+    # the package reduces over Z/N only: the invariants of A over Z/N are
+    # gcd(s, N) for the integer invariants s of A (zeros past its rank), and
+    # U must carry the column lattice of A plus N*Z^m onto the diagonal one.
+    # The integer invariants come from the minor-gcd oracle: the integer
+    # reference reduction runs for minutes on some of these matrices.
     shapes = [(m, n) for m in range(5) for n in range(6)]
-    for trial in range(3000):
-        m, n = shapes[trial % len(shapes)]
-        rows = [[rng.randint(-36, 36) if rng.random() < 0.8 else 0 for _ in range(n)]
-                for _ in range(m)]
-        S, Uinv = smith_riders(rows, m, n)
-        smith_reduce(S, m, n, Uinv)
-        got = ([r[:n] for r in S[:m]], [r[n:] for r in S[:m]], Uinv, S[m:])
-        assert got == _reference_smith(rows, m, n), rows
-        U, U_inverse, diag = snf_left_transforms(rows, m, n)
-        ref_S, ref_U, ref_Uinv, _ = _reference_smith(rows, m, n)
-        assert (U, U_inverse) == (ref_U, ref_Uinv), rows
-        assert diag == [ref_S[i][i] for i in range(min(m, n))]
+    for N in (4, 12, 36, 72, 360):
+        rng = random.Random(f"smith-riders:{N}")
+        for trial in range(600):
+            m, n = shapes[trial % len(shapes)]
+            rows = [[rng.randrange(N) if rng.random() < 0.8 else 0 for _ in range(n)]
+                    for _ in range(m)]
+            S, Uinv = smith_riders(rows, m, n)
+            smith_reduce(S, m, n, N, Uinv)
+            assert all(0 <= v < N for r in S for v in r), rows
+            D = [r[:n] for r in S[:m]]
+            U = IntMatrix.from_rows([r[n:] for r in S[:m]], cols=m)
+            V = IntMatrix.from_rows(S[m:], cols=n)
+            A = IntMatrix.from_rows(rows, cols=n)
+            assert _mod_matrix(U @ A @ V, N) == D, rows
+            assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j), rows
+            assert _mod_matrix(U @ IntMatrix.from_rows(Uinv, cols=m), N) == \
+                _mod_matrix(IntMatrix.identity(m), N), rows
+            invariants = [gcd(D[i][i] if i < n else 0, N) for i in range(m)]
+            integer = elementary_invariant_factors(rows)
+            assert invariants == [gcd(s, N) for s in integer + [0] * (m - len(integer))], rows
+            diagonal = [[s * int(i == j) for j in range(m)] for i, s in enumerate(invariants)]
+            assert hermite_key([U.apply(c) for c in A.columns()], [N] * m) == \
+                hermite_key(diagonal, [N] * m), rows
+            assert snf_left_transforms(rows, m, n, N) == (U.tolists(), Uinv, invariants)
 
 
 def test_solve_linear_mod_worked_examples():
@@ -280,8 +304,17 @@ def _old_echelon(rows, dim):
     return reference_row_echelon([list(r) for r in rows], dim)
 
 
+def _same_kernel_lattice(A, moduli, *kernels):
+    # every kernel lattice contains L*Z^k, so two are equal when their keys mod L are
+    orders = [lcm(*moduli)] * A.cols
+    keys = {hermite_key(gens, orders) for gens in kernels}
+    return len(keys) == 1
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_kernel_mod_spans_the_same_lattice_with_either_echelon(seed, monkeypatch):
+    # kernel_mod reads the Hermite kernel; the reference takes V from an
+    # integer Smith reduction, with either echelon shrinking its input
     rng = random.Random(f"echelon:{seed}")
     r = rng.randint(1, 4)
     k = rng.randint(1, 4)
@@ -289,34 +322,30 @@ def test_kernel_mod_spans_the_same_lattice_with_either_echelon(seed, monkeypatch
     A = IntMatrix.from_rows([[rng.randrange(-36, 36) for _ in range(k)] for _ in range(r)],
                             cols=k)
     new = kernel_mod(A, moduli)
+    assert new == hermite_kernel(A.entries, moduli, k)
+    ref = reference_kernel_mod(A, moduli)
     monkeypatch.setattr(zmodlin, "column_echelon", _old_echelon)
-    old = kernel_mod(A, moduli)
-    # both lattices contain L*Z^k, so they are equal when their keys mod L are
-    orders = [lcm(*moduli)] * k
-    assert hermite_key(new, orders) == hermite_key(old, orders)
+    old = reference_kernel_mod(A, moduli)
+    assert _same_kernel_lattice(A, moduli, new, ref, old)
 
 
-def test_kernel_mod_is_unchanged_on_torsion_systems(monkeypatch):
+def test_kernel_mod_is_unchanged_on_torsion_systems():
     # d*I against a chain is the system whose kernel generators reach the
-    # hom_lifting witness; every row has its own pivot, so both echelons
-    # leave the rows as they are and the Smith output is the same
+    # hom_lifting witness: the kernel lattice and the Smith invariants over
+    # Z/N of [d*I | diag(chain)] agree with the integer references
     systems = []
     for n in (4, 8, 9, 12, 24, 36):
         for chain in divisor_chains(n, 3)[1:]:
             for d in range(2, n + 1):
                 if n % d == 0:
-                    systems.append((IntMatrix.diagonal([d % e for e in chain]), chain))
-    new = [kernel_mod(A, chain) for A, chain in systems]
-    assert new == [reference_kernel_mod(A, chain) for A, chain in systems]
-    for A, chain in systems:
+                    systems.append((n, IntMatrix.diagonal([d % e for e in chain]), chain))
+    for n, A, chain in systems:
+        assert _same_kernel_lattice(A, chain, kernel_mod(A, chain), reference_kernel_mod(A, chain))
         rows = [list(r) + [e if i == j else 0 for j in range(len(chain))]
                 for i, (r, e) in enumerate(zip(A.entries, chain))]
-        m, n = len(rows), 2 * len(chain)
-        U, U_inverse, diag = snf_left_transforms(rows, m, n)
-        ref_S, ref_U, ref_Uinv, _ = _reference_smith(rows, m, n)
-        assert (U, U_inverse, diag) == (ref_U, ref_Uinv, [ref_S[i][i] for i in range(m)])
-    monkeypatch.setattr(zmodlin, "column_echelon", _old_echelon)
-    assert new == [kernel_mod(A, chain) for A, chain in systems]
+        m = len(rows)
+        ref_S = _reference_smith(rows, m, 2 * m)[0]
+        assert snf_left_transforms(rows, m, 2 * m, n)[2] == [ref_S[i][i] for i in range(m)]
 
 
 def test_column_echelon_preserves_lattice():
@@ -330,43 +359,33 @@ def test_column_echelon_preserves_lattice():
         before = span_mod([tuple(c) for c in cols], tuple([M] * dim))
         after = span_mod(list(reduced), tuple([M] * dim))
         assert before == after
-        # entries far below the bound are never reduced
-        assert column_echelon(cols, dim, M) == reduced
 
 
-@pytest.mark.parametrize("N", [4, 12, 72, 720])
-def test_bounded_column_echelon_keeps_the_lattice_mod_n(N):
-    rng = random.Random(f"bounded-echelon:{N}")
-    reduced_some = False
-    for _ in range(40):
-        dim = rng.randint(1, 4)
-        # entries start above N << 64, so their products pass the bound
-        cols = [[rng.randint(-N << 72, N << 72) for _ in range(dim)]
-                for _ in range(rng.randint(1, 5))]
-        bound = max(abs(v) for c in cols for v in c) << 64
-        cols += [[N if i == j else 0 for i in range(dim)] for j in range(dim)]
-        bounded = column_echelon(cols, dim, N)
-        unbounded = column_echelon(cols, dim)
-        # both lattices contain N*Z^dim, so they are equal when their keys mod N are
-        assert hermite_key(bounded, [N] * dim) == hermite_key(unbounded, [N] * dim)
-        for b in bounded:
-            pivot = next(i for i, v in enumerate(b) if v)
-            assert all(abs(v) <= bound for v in b[pivot + 1:])
-        reduced_some |= bounded != unbounded
-    assert reduced_some
+STALLED_SYSTEMS = Path(__file__).resolve().parent / "data" / "stalled_kernel_systems.json"
 
 
-def test_bounded_column_echelon_leaves_growth_from_large_inputs():
-    # the relations of one random_ses(36, 8) presentation: entries near 2^60
-    # grow to 83 bits, past 36 << 64 but not 2^64 past the input, and the
-    # printed presentation depends on them
-    cols = [(-218303799847717248, 736165534898912868, -133292566929580516),
-            (-117508101253329393, 396261605498652126, -71748437095476037),
-            (-68696426837920788, 231658550350747866, -41944863435744440),
-            (36, 0, 0), (0, 36, 0), (0, 0, 36)]
-    unbounded = column_echelon(cols, 3)
-    assert max(abs(v) for c in unbounded for v in c) > 36 << 64
-    assert column_echelon(cols, 3, 36) == unbounded
+@pytest.mark.parametrize("name", ["random-max-gens-6", "lemmas-360-seed-3-nat"])
+def test_kernel_mod_finishes_on_the_systems_that_stalled(name):
+    # the integer Smith reduction in kernel_mod ran for minutes on these two
+    # systems (`random --modulus 12 --trials 20 --seed 1 --max-gens 6` and
+    # `lemmas --modulus 360 --trials 10 --seed 3`): its block reached about
+    # 1.5 million bits; the Hermite kernel keeps every entry below lcm(moduli)
+    system = json.loads(STALLED_SYSTEMS.read_text())[name]
+    moduli = system["moduli"]
+    A = IntMatrix.from_rows(system["rows"], cols=system["cols"])
+    L = lcm(*moduli)
+    start = time.perf_counter()
+    gens = kernel_mod(A, moduli)
+    sub = Subgroup(tuple(moduli), L, tuple(A.columns()))
+    pres = sub.presentation
+    assert time.perf_counter() - start < 0.5
+    assert all(0 <= v <= L for g in gens for v in g)
+    assert all(not any(v % o for v, o in zip(A.apply(g), moduli)) for g in gens)
+    # |kernel| * |image| == L^k, counted from Hermite keys alone
+    kernel_order = key_order(hermite_key(gens, [L] * A.cols), [L] * A.cols)
+    assert kernel_order * sub.cardinality == L ** A.cols
+    assert pres.module.cardinality == sub.cardinality
+    assert all(0 <= v < L for row in pres.project.entries + pres.lift.entries for v in row)
 
 
 def test_hermite_key_is_lattice_invariant():
