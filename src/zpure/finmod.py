@@ -99,9 +99,9 @@ class CanonicalModule:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A module presented as coordinates mod ``orders`` divided by relations.
+    """prod Z/o_i modulo a span of columns, in canonical form.
 
-    ``project`` maps ambient coordinate columns onto canonical coordinates;
+    ``project`` maps the o_i coordinate columns onto canonical coordinates;
     ``lift`` is a section of it: project @ lift == identity modulo the
     invariant factors.  Both have entries in [0, modulus).
     """
@@ -111,32 +111,29 @@ class Presentation:
     lift: IntMatrix
 
 
-def normalize_presentation(relations: IntMatrix, modulus: int) -> Presentation:
-    """Canonical form of Z^rows / (column lattice of relations + modulus*Z^rows).
+def normalize_presentation(columns: Sequence[Sequence[int]], orders: Sequence[int],
+                           modulus: int) -> Presentation:
+    """Canonical form of prod Z/o_i modulo the span of ``columns``.
 
-    The cokernel is computed over Z/modulus, i.e. the columns of
-    ``modulus * I`` are always implied relations.  The relation lattice is
-    put into Hermite form mod modulus before the Smith reduction, so the
+    Every quotient in the package is presented here.  The relation lattice,
+    ``columns`` together with the o_i*e_i, is put into Hermite form
+    (``hermite_key``) before the Smith reduction over Z/modulus, so the
     result depends only on that lattice, not on the columns that span it.
     """
     if modulus < 1:
         raise InputError("modulus must be >= 1")
-    g = relations.rows
-    if g == 0:
-        return Presentation(CanonicalModule.zero(modulus),
-                            IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
-    key = hermite_key(relations.columns(), [modulus] * g)
+    if any(o < 1 or modulus % o for o in orders):
+        raise InputError("presentation orders must be >= 1 and divide the modulus")
+    g = len(orders)
+    if any(len(c) != g for c in columns):
+        raise InputError("relation column has wrong length")
+    key = hermite_key(columns, orders)
     U, Uinv, diag = snf_left_transforms(list(zip(*key)), g, g, modulus)
     keep = [i for i in range(g) if diag[i] > 1]
     module = CanonicalModule(modulus, tuple(diag[i] for i in keep))
     project = IntMatrix(len(keep), g, tuple(tuple(U[i]) for i in keep))
     lift = IntMatrix(g, len(keep), tuple(tuple(Uinv[r][i] for i in keep) for r in range(g)))
     return Presentation(module, project, lift)
-
-
-def canonical_from_cyclic_orders(orders: Sequence[int], modulus: int) -> Presentation:
-    """Canonical form of a direct sum of cyclic groups Z/order (orders | modulus)."""
-    return normalize_presentation(IntMatrix.diagonal(list(orders)), modulus)
 
 
 @dataclass(frozen=True)
@@ -241,17 +238,19 @@ class Subgroup:
     gens: tuple[Vec, ...]
 
     def __post_init__(self):
-        reduced = tuple(tuple(v % o for v, o in zip(g, self.ambient_orders)) for g in self.gens)
-        for g in reduced:
-            if len(g) != len(self.ambient_orders):
-                raise InputError("subgroup generator has wrong length")
+        n = len(self.ambient_orders)
+        if any(len(g) != n for g in self.gens):
+            raise InputError("subgroup generator has wrong length")
+        reduced = (tuple(v % o for v, o in zip(g, self.ambient_orders)) for g in self.gens)
         object.__setattr__(self, "gens", tuple(g for g in reduced if any(g)))
+
+    def _check(self, x: Sequence[int]):
+        if len(x) != len(self.ambient_orders):
+            raise InputError("element has wrong length")
 
     @cached_property
     def _gen_matrix(self) -> IntMatrix:
-        n = len(self.ambient_orders)
-        r = len(self.gens)
-        return IntMatrix(n, r, tuple(tuple(self.gens[t][i] for t in range(r)) for i in range(n)))
+        return IntMatrix.from_columns(self.gens, len(self.ambient_orders))
 
     @cached_property
     def _system(self) -> tuple[Vec, ...]:
@@ -260,14 +259,11 @@ class Subgroup:
 
     @cached_property
     def presentation(self) -> Presentation:
-        r = len(self.gens)
-        if r == 0:
-            return Presentation(CanonicalModule.zero(self.modulus),
-                                IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
-        relations = kernel_mod(self._gen_matrix, self.ambient_orders)
-        rel = IntMatrix(r, len(relations),
-                        tuple(tuple(c[i] for c in relations) for i in range(r)))
-        return normalize_presentation(rel, self.modulus)
+        """The key's rows past the ambient coordinates have the relations
+        among the generators as tails: they are the ``hermite_kernel`` rows."""
+        n = len(self.ambient_orders)
+        return normalize_presentation([row[n:] for row in self._system[n:]],
+                                      (self.modulus,) * len(self.gens), self.modulus)
 
     @property
     def module(self) -> CanonicalModule:
@@ -283,14 +279,12 @@ class Subgroup:
         return key_order(self.key, self.ambient_orders)
 
     def contains(self, x: Sequence[int]) -> bool:
+        self._check(x)
         return not any(hermite_reduce(x, self.key))
 
     def coords(self, x: Sequence[int]) -> Vec:
         """Coordinates of x in the canonical form of the subgroup."""
-        if len(self.gens) == 0:
-            if not self.contains(x):
-                raise InputError("element not in subgroup")
-            return ()
+        self._check(x)
         sol = hermite_solve(self._system, x, self.ambient_orders)
         if sol is None:
             raise InputError("element not in subgroup")
@@ -298,10 +292,7 @@ class Subgroup:
 
     def element(self, coords: Sequence[int]) -> Vec:
         """Ambient vector realizing canonical coordinates."""
-        if not self.gens:
-            return tuple(0 for _ in self.ambient_orders)
-        c = self.presentation.lift.apply(coords)
-        vec = self._gen_matrix.apply(c)
+        vec = self._gen_matrix.apply(self.presentation.lift.apply(coords))
         return tuple(v % o for v, o in zip(vec, self.ambient_orders))
 
     def elements(self) -> Iterator[Vec]:
@@ -322,11 +313,7 @@ def quotient_by_subgroup(ambient: CanonicalModule,
     """Quotient ambient/sub: (module, projection map, integer section of it)."""
     if sub.ambient_orders != ambient.invariants:
         raise InputError("subgroup does not live in the given ambient module")
-    n = ambient.ngens
-    cols = list(sub.gens) + [tuple(d if i == j else 0 for i in range(n))
-                             for j, d in enumerate(ambient.invariants)]
-    rel = IntMatrix(n, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n)))
-    pres = normalize_presentation(rel, ambient.modulus)
+    pres = normalize_presentation(sub.gens, ambient.invariants, ambient.modulus)
     proj = ModuleMap(ambient, pres.module, pres.project)
     return pres.module, proj, pres.lift
 
@@ -394,7 +381,7 @@ def hom_module(source: CanonicalModule, target: CanonicalModule) -> HomModule:
     if source.modulus != target.modulus:
         raise InputError("hom across different moduli")
     orders = tuple(gcd(d, e) for e in target.invariants for d in source.invariants)
-    pres = canonical_from_cyclic_orders(orders, source.modulus)
+    pres = normalize_presentation((), orders, source.modulus)
     return HomModule(source, target, pres.module, orders, pres)
 
 
@@ -527,7 +514,7 @@ def tensor_modules(left: CanonicalModule, right: CanonicalModule) -> TensorModul
     if left.modulus != right.modulus:
         raise InputError("tensor across different moduli")
     orders = tuple(gcd(c, d) for c in left.invariants for d in right.invariants)
-    pres = canonical_from_cyclic_orders(orders, left.modulus)
+    pres = normalize_presentation((), orders, left.modulus)
     return TensorModule(left, right, pres.module, orders, pres)
 
 
@@ -655,7 +642,7 @@ def direct_sum(parts: Sequence[CanonicalModule]) -> DirectSum:
         if p.modulus != modulus:
             raise InputError("direct sum across different moduli")
     orders = [d for p in parts for d in p.invariants]
-    pres = canonical_from_cyclic_orders(orders, modulus)
+    pres = normalize_presentation((), orders, modulus)
     total = pres.module
     n = len(orders)
     incls = []

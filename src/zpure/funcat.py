@@ -399,12 +399,7 @@ def coend_tensor(G: FunctorOnD, F: FunctorOnD) -> CoendResult:
                         col[off_d:off_d + len(left)] = left
                         col[off_e:off_e + len(right)] = [-v for v in right]
                         rel_cols.append(col)
-    for i, o in enumerate(orders):
-        col = [0] * total
-        col[i] = o
-        rel_cols.append(col)
-    rel = IntMatrix(total, len(rel_cols), tuple(zip(*rel_cols)))
-    pres = normalize_presentation(rel, cat.modulus)
+    pres = normalize_presentation(rel_cols, orders, cat.modulus)
     injections = []
     for i_d, t in enumerate(tensors):
         k = t.module.ngens

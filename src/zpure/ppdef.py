@@ -18,7 +18,6 @@ every Z/N-module.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -152,13 +151,8 @@ class SortGroup:
 def sort_group_from_subgroups(phi_sub: Subgroup, psi_sub: Subgroup,
                               module: CanonicalModule) -> SortGroup:
     """Quotient of an evaluated phi subgroup by an evaluated psi subgroup."""
-    phi_mod = phi_sub.module
     cols = [phi_sub.coords(g) for g in psi_sub.gens]
-    cols += [tuple(d if i == j else 0 for i in range(phi_mod.ngens))
-             for j, d in enumerate(phi_mod.invariants)]
-    rel = IntMatrix(phi_mod.ngens, len(cols),
-                    tuple(tuple(c[i] for c in cols) for i in range(phi_mod.ngens)))
-    pres = normalize_presentation(rel, module.modulus)
+    pres = normalize_presentation(cols, phi_sub.module.invariants, module.modulus)
     return SortGroup(module, pres.module, phi_sub, pres)
 
 
@@ -327,9 +321,6 @@ def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
 # Textual syntax: `E y1 y2 : 2x1 + 3y1 = 0 & y1 - y2 = 0`
 
 
-_TERM_RE = re.compile(r"^([+-]?\d*)\s*([xy])(\d+)$")
-
-
 def format_pp(formula: PpFormula) -> str:
     parts = []
     for r in range(formula.rows):
@@ -359,52 +350,3 @@ def format_pp(formula: PpFormula) -> str:
         ys = " ".join(f"y{i + 1}" for i in range(formula.bound_count))
         return f"E {ys} : {clause}"
     return clause
-
-
-def parse_pp(text: str, free_vars: Optional[int] = None) -> PpFormula:
-    """Parse the textual pp syntax; the inverse of format_pp."""
-    text = text.strip()
-    bound = 0
-    if text.startswith("E "):
-        head, _, rest = text.partition(":")
-        names = head[1:].split()
-        for nm in names:
-            if not re.fullmatch(r"y\d+", nm):
-                raise InputError(f"bad bound variable {nm!r}")
-        bound = len(names)
-        text = rest.strip()
-    rows_a = []
-    rows_b = []
-    max_x = 0
-    for clause in text.split("&"):
-        lhs, _, rhs = clause.partition("=")
-        if rhs.strip() != "0":
-            raise InputError("pp clause must end in '= 0'")
-        xs: dict[int, int] = {}
-        ys: dict[int, int] = {}
-        expr = lhs.replace("-", "+-").split("+")
-        for raw in expr:
-            raw = raw.strip()
-            if not raw:
-                continue
-            if raw in ("0", "-0"):
-                continue
-            m = _TERM_RE.match(raw.replace(" ", ""))
-            if not m:
-                raise InputError(f"bad pp term {raw!r}")
-            coef_s, kind, idx_s = m.groups()
-            coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
-            idx = int(idx_s) - 1
-            if kind == "x":
-                xs[idx] = xs.get(idx, 0) + coef
-                max_x = max(max_x, idx + 1)
-            else:
-                if idx >= bound:
-                    bound = idx + 1
-                ys[idx] = ys.get(idx, 0) + coef
-        rows_a.append(xs)
-        rows_b.append(ys)
-    k = free_vars if free_vars is not None else max(max_x, 1)
-    a = IntMatrix.from_rows([[row.get(j, 0) for j in range(k)] for row in rows_a], cols=k)
-    b = IntMatrix.from_rows([[row.get(l, 0) for l in range(bound)] for row in rows_b], cols=bound)
-    return PpFormula(k, bound, a, b)

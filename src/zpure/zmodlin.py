@@ -13,12 +13,15 @@ orders, membership tests and the pp catalog's deduplication all use them.
 So does solving: ``hermite_system`` is the key of a system A*x == b
 (mod moduli), from which ``hermite_solve`` reads one solution and
 ``hermite_kernel`` (and so ``kernel_mod``) the homogeneous ones, with
-entries below lcm(moduli).
+entries below lcm(moduli).  The system key holds the homogeneous solutions
+too: its rows past the moduli have them as tails, which is how a subgroup
+reads the relations among its generators.
 
 The Smith form (``smith_reduce``) runs over Z/N only, so no entry leaves
 [0, N): it reads invariant factors, and its U and U^-1 (mod N) are the
 ``project``/``lift`` matrices of ``finmod.normalize_presentation``, which
-first puts the relation lattice into Hermite form mod N.  It is one
+presents prod Z/o_i modulo a span of columns by first taking the
+``hermite_key`` of those columns with the orders o_i.  It is one
 routine: U and V ride along as an identity to the right of the matrix and
 one below it, and only U^-1 is passed separately.  ``column_echelon``, an
 integer echelon, has no caller here: it shrinks the input of the integer

@@ -532,7 +532,9 @@ def reference_validate_functor(cat, variance, values, actions):
 # augmented system [A | diag(moduli)] once with both transforms, and the
 # Smith input of ``kernel_mod`` was once shrunk by a sort-based row echelon.
 # They are the references for ``zpure.zmodlin.hermite_solve`` and for
-# ``zpure.zmodlin.column_echelon``.
+# ``zpure.zmodlin.column_echelon``.  ``reference_normalize_presentation`` is
+# the presentation constructor as it was when it took one relation matrix;
+# it is the reference for ``zpure.finmod.normalize_presentation``.
 
 
 def reference_snf_core(S: list[list[int]], m: int, n: int,
@@ -676,6 +678,40 @@ def reference_kernel_mod(A, target_moduli):
         if any(col):
             gens.append(col)
     return gens
+
+
+def reference_normalize_presentation(relations, modulus):
+    """``zpure.finmod.normalize_presentation`` as it was when it took an
+    integer relation matrix: the cokernel of its columns plus modulus*Z^rows.
+    Quotients of prod Z/o_i were presented by appending the o_i*e_i columns."""
+    from zpure.errors import InputError
+    from zpure.finmod import CanonicalModule, Presentation
+    from zpure.zmodlin import IntMatrix, hermite_key, snf_left_transforms
+
+    if modulus < 1:
+        raise InputError("modulus must be >= 1")
+    g = relations.rows
+    if g == 0:
+        return Presentation(CanonicalModule.zero(modulus),
+                            IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
+    key = hermite_key(relations.columns(), [modulus] * g)
+    U, Uinv, diag = snf_left_transforms(list(zip(*key)), g, g, modulus)
+    keep = [i for i in range(g) if diag[i] > 1]
+    module = CanonicalModule(modulus, tuple(diag[i] for i in keep))
+    project = IntMatrix(len(keep), g, tuple(tuple(U[i]) for i in keep))
+    lift = IntMatrix(g, len(keep), tuple(tuple(Uinv[r][i] for i in keep) for r in range(g)))
+    return Presentation(module, project, lift)
+
+
+def reference_quotient_presentation(columns, orders, modulus):
+    """The reference route for prod Z/o_i modulo ``columns``: the columns and
+    the o_i*e_i as one integer relation matrix."""
+    from zpure.zmodlin import IntMatrix
+
+    g = len(orders)
+    diagonal = [tuple(o if i == j else 0 for i in range(g)) for j, o in enumerate(orders)]
+    return reference_normalize_presentation(
+        IntMatrix.from_columns(list(columns) + diagonal, g), modulus)
 
 
 class ReferenceModSolver:
@@ -1096,13 +1132,7 @@ def reference_coend_tensor(G, F):
                         col[offsets[i_e] + i] -= v
                     if any(col):
                         rel_cols.append(col)
-    for i, o in enumerate(orders):
-        col = [0] * total
-        col[i] = o
-        rel_cols.append(col)
-    rel = IntMatrix(total, len(rel_cols),
-                    tuple(tuple(c[i] for c in rel_cols) for i in range(total)))
-    pres = normalize_presentation(rel, cat.modulus)
+    pres = normalize_presentation(rel_cols, orders, cat.modulus)
     injections = []
     for i_d, t in enumerate(tensors):
         k = t.module.ngens

@@ -13,9 +13,9 @@ from zpure.errors import InputError, InternalCheckError
 from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
+    Presentation,
     ShortSequence,
     Subgroup,
-    canonical_from_cyclic_orders,
     divisors,
     direct_sum,
     dual_map,
@@ -35,7 +35,7 @@ from zpure.finmod import (
     tensor_modules,
     tensor_pair_map,
 )
-from zpure.zmodlin import IntMatrix
+from zpure.zmodlin import IntMatrix, kernel_mod
 
 from helpers import direct_sum_sequences
 from oracles import (
@@ -48,8 +48,10 @@ from oracles import (
     reference_dual_map,
     reference_dual_module,
     reference_evaluation_map,
+    reference_normalize_presentation,
     reference_pair,
     reference_pure,
+    reference_quotient_presentation,
     reference_tensor_pair_map,
     span_mod,
 )
@@ -76,13 +78,13 @@ def test_canonical_module_validation():
 
 def test_normalize_presentation_examples():
     # relations [[2]] over Z/4 presents Z/2 (cokernel has 2 elements)
-    pres = normalize_presentation(IntMatrix.from_rows([[2]]), 4)
+    pres = normalize_presentation([(2,)], (4,), 4)
     assert pres.module == Z(4, 2)
     # no relations, one generator
-    pres = normalize_presentation(IntMatrix.zeros(1, 0), 4)
+    pres = normalize_presentation([], (4,), 4)
     assert pres.module == Z(4, 4)
     # generator killed
-    pres = normalize_presentation(IntMatrix.from_rows([[1]]), 4)
+    pres = normalize_presentation([(1,)], (4,), 4)
     assert pres.module.is_zero()
 
 
@@ -94,7 +96,7 @@ def test_normalize_presentation_section():
         c = rng.randint(0, 3)
         rel = IntMatrix.from_rows(
             [[rng.randrange(n_mod) for _ in range(c)] for _ in range(g)], cols=c)
-        pres = normalize_presentation(rel, n_mod)
+        pres = normalize_presentation(rel.columns(), (n_mod,) * g, n_mod)
         q = pres.module.ngens
         ident = (pres.project @ pres.lift).tolists()
         for i in range(q):
@@ -106,7 +108,7 @@ def test_normalize_presentation_section():
 def test_normalize_presentation_idempotent_on_canonical():
     for invs in [(), (2,), (2, 4), (3,), (2, 2, 4)]:
         mod = CanonicalModule(8 if all(i % 3 for i in invs) else 12, invs) if invs else Z(8)
-        pres = canonical_from_cyclic_orders(mod.invariants, mod.modulus)
+        pres = normalize_presentation((), mod.invariants, mod.modulus)
         assert pres.module == mod
 
 
@@ -127,6 +129,12 @@ def test_presentations_are_bounded_on_a_subgroup_sweep():
         start = time.perf_counter()
         pres = sub.presentation
         slowest = max(slowest, time.perf_counter() - start)
+        # the system key's tails are the kernel, so the presentation is the
+        # one the kernel_mod relations give
+        g, r = len(orders), len(sub.gens)
+        relations = kernel_mod(IntMatrix.from_columns(sub.gens, g), orders)
+        assert [row[g:] for row in sub._system[g:]] == relations
+        assert pres == reference_normalize_presentation(IntMatrix.from_columns(relations, r), n)
         assert pres.module.cardinality == sub.cardinality
         assert all(0 <= v < n for row in pres.project.entries + pres.lift.entries for v in row)
         ident = (pres.project @ pres.lift).entries
@@ -136,6 +144,66 @@ def test_presentations_are_bounded_on_a_subgroup_sweep():
             c = tuple(rng.randrange(e) for e in pres.module.invariants)
             assert sub.coords(sub.element(c)) == c
     assert slowest < 0.5
+
+
+@pytest.mark.parametrize("n", [4, 12, 36, 72, 360])
+def test_normalize_presentation_matches_the_relation_matrix_route(n):
+    # the relation-matrix constructor fed with the columns plus the o_i*e_i
+    rng = random.Random(f"quotient-route:{n}")
+    divs = divisors(n)
+    shapes = [(0, 0), (0, 3), (2, 0)] + [(rng.randint(1, 5), rng.randint(0, 6)) for _ in range(80)]
+    for g, c in shapes:
+        orders = tuple(rng.choice(divs) for _ in range(g))
+        if g and rng.random() < 0.2:
+            orders = (1,) * g
+        cols = [tuple(rng.randrange(-2 * n, 2 * n) for _ in range(g)) for _ in range(c)]
+        pres = normalize_presentation(cols, orders, n)
+        assert pres == reference_quotient_presentation(cols, orders, n)
+        if prod(orders) <= 512:
+            assert pres.module.cardinality * len(span_mod(cols, orders)) == prod(orders)
+
+
+def test_normalize_presentation_refuses_bad_orders_and_columns():
+    with pytest.raises(InputError):
+        normalize_presentation([], (0,), 4)          # order below 1
+    with pytest.raises(InputError):
+        normalize_presentation([], (2, 3), 4)        # 3 does not divide 4
+    with pytest.raises(InputError):
+        normalize_presentation([(1, 2)], (4,), 4)    # column longer than the orders
+    with pytest.raises(InputError):
+        normalize_presentation([(1,)], (4, 2), 4)    # column shorter than the orders
+
+
+def test_empty_subgroup_has_the_zero_presentation():
+    for sub in (Subgroup((4, 2), 4, ()), Subgroup((4, 2), 4, ((0, 0), (4, 2))),
+                Subgroup((), 4, ())):
+        g = len(sub.ambient_orders)
+        assert sub.gens == ()
+        assert sub.presentation == Presentation(Z(4), IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))
+        assert sub.module.is_zero() and sub.cardinality == 1
+        assert sub.coords((0,) * g) == ()
+        assert sub.element(()) == (0,) * g
+        assert list(sub.elements()) == [(0,) * g]
+    sub = Subgroup((4, 2), 4, ())
+    assert sub.coords((4, 2)) == ()
+    with pytest.raises(InputError):
+        sub.coords((1, 0))
+    with pytest.raises(InputError):
+        sub.coords((0, 1))
+
+
+def test_subgroup_refuses_vectors_of_the_wrong_length():
+    with pytest.raises(InputError):
+        Subgroup((4,), 4, ((1, 2),))                 # longer than the ambient
+    with pytest.raises(InputError):
+        Subgroup((4, 4), 4, ((1,),))
+    sub = Subgroup((4, 2), 4, ((2, 1),))
+    for bad in ((2,), (2, 1, 0)):
+        with pytest.raises(InputError):
+            sub.contains(bad)
+        with pytest.raises(InputError):
+            sub.coords(bad)
+    assert sub.contains((2, 1)) and sub.coords((2, 1)) == (1,)
 
 
 @pytest.mark.parametrize("n", [4, 12, 36, 72, 360])
@@ -150,8 +218,8 @@ def test_presentation_depends_only_on_the_relation_lattice(n):
             padded.append([sum(a * c[i] for a, c in zip(coeffs, cols)) + n * rng.randint(-2, 2)
                            for i in range(g)])
         rng.shuffle(padded)
-        pres = normalize_presentation(IntMatrix.from_columns(cols, g), n)
-        assert normalize_presentation(IntMatrix.from_columns(padded, g), n) == pres
+        pres = normalize_presentation(cols, (n,) * g, n)
+        assert normalize_presentation(padded, (n,) * g, n) == pres
 
 
 # --------------------------------------------------------------------------
