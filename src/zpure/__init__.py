@@ -12,7 +12,6 @@ from .finmod import (
     dual_module,
     hom_module,
     is_exact,
-    is_split,
     normalize_presentation,
     random_ses,
     splitting_section,
@@ -54,14 +53,12 @@ __all__ = [
     "dual_of_hom_check",
     "enumerate_pp",
     "equivalence_harness",
-    "eval_fp_functor",
     "eval_pp",
     "fp_functor_from_map",
     "hom_module",
     "hom_tensor_duality_check",
     "induced_pp_map",
     "is_exact",
-    "is_split",
     "kan_eval",
     "kernel_mod",
     "nat_transformations",
@@ -69,7 +66,6 @@ __all__ = [
     "pp_pair_value",
     "purity_report",
     "random_ses",
-    "representable_cov",
     "restrict_module",
     "solve_linear_mod",
     "splitting_section",

@@ -79,12 +79,6 @@ class CanonicalModule:
             raise InputError("element has wrong length")
         return tuple(v % d for v, d in zip(vector, self.invariants))
 
-    def zero_element(self) -> Vec:
-        return (0,) * self.ngens
-
-    def add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariants))
-
     def elements(self) -> Iterator[Vec]:
         return product(*[range(d) for d in self.invariants])
 
@@ -182,17 +176,6 @@ class ModuleMap:
             raise InputError("composition type mismatch")
         return ModuleMap(other.domain, self.codomain, self.matrix @ other.matrix)
 
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        if other.domain != self.domain or other.codomain != self.codomain:
-            raise InputError("sum of maps with different types")
-        return ModuleMap(self.domain, self.codomain,
-                         IntMatrix(self.matrix.rows, self.matrix.cols,
-                                   tuple(tuple(a + b for a, b in zip(r1, r2))
-                                         for r1, r2 in zip(self.matrix.entries, other.matrix.entries))))
-
-    def __neg__(self) -> "ModuleMap":
-        return self.scale(-1)
-
     def scale(self, c: int) -> "ModuleMap":
         return ModuleMap(self.domain, self.codomain,
                          IntMatrix(self.matrix.rows, self.matrix.cols,
@@ -219,10 +202,6 @@ class ModuleMap:
     def is_bijective(self) -> bool:
         return (self.domain.cardinality == self.codomain.cardinality
                 and self.is_surjective())
-
-    def cokernel(self) -> tuple[CanonicalModule, "ModuleMap", IntMatrix]:
-        """Quotient of the codomain by the image: (module, projection, section)."""
-        return quotient_by_subgroup(self.codomain, self.image())
 
 
 @dataclass(frozen=True)
@@ -294,10 +273,6 @@ class Subgroup:
         """Ambient vector realizing canonical coordinates."""
         vec = self._gen_matrix.apply(self.presentation.lift.apply(coords))
         return tuple(v % o for v, o in zip(vec, self.ambient_orders))
-
-    def elements(self) -> Iterator[Vec]:
-        for c in self.module.elements():
-            yield self.element(c)
 
     def inclusion_into(self, ambient: CanonicalModule) -> ModuleMap:
         if ambient.invariants != self.ambient_orders:
@@ -619,10 +594,6 @@ def splitting_section(seq: ShortSequence) -> Optional[ModuleMap]:
     return s
 
 
-def is_split(seq: ShortSequence) -> bool:
-    return splitting_section(seq) is not None
-
-
 # ---------------------------------------------------------------------------
 # Direct sums
 
@@ -659,16 +630,6 @@ def direct_sum(parts: Sequence[CanonicalModule]) -> DirectSum:
         offset += k
     assert offset == n
     return DirectSum(total, tuple(incls), tuple(projs))
-
-
-def direct_sum_maps(maps: Sequence[ModuleMap], dom_sum: DirectSum, cod_sum: DirectSum) -> ModuleMap:
-    """Block-diagonal map between direct sums realized in canonical form."""
-    total = None
-    for f, inc, prj in zip(maps, cod_sum.inclusions, dom_sum.projections):
-        piece = inc @ f @ prj
-        total = piece if total is None else total + piece
-    assert total is not None
-    return total
 
 
 # ---------------------------------------------------------------------------

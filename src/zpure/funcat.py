@@ -222,24 +222,7 @@ def functor_from_values(cat: IndexCategoryD, variance: str,
 
 
 # ---------------------------------------------------------------------------
-# Representables and module-induced functors
-
-
-@lru_cache(maxsize=256)
-def representable_cov(cat: IndexCategoryD, a: int) -> FunctorOnD:
-    """The covariant representable D(a, -): d -> Hom(Z/a, Z/d)."""
-    cat.index_of(a)
-
-    def value_of(d):
-        return CanonicalModule.cyclic(cat.modulus, cat.hom_order(a, d))
-
-    def action_of(d, e):
-        dom, cod = value_of(d), value_of(e)
-        if dom.is_zero() or cod.is_zero():
-            return ModuleMap.zero(dom, cod)
-        return ModuleMap.from_rows(dom, cod, [[cat.comp_coeff(a, d, e)]])
-
-    return functor_from_values(cat, COVARIANT, value_of, action_of)
+# Module-induced functors
 
 
 @lru_cache(maxsize=256)
@@ -312,11 +295,6 @@ def fp_value(u: ModuleMap, c: CanonicalModule, variance: str = COVARIANT) -> FpV
     return FpValue(module, proj, lift, hom)
 
 
-def eval_fp_functor(u: ModuleMap, c: CanonicalModule,
-                    variance: str = COVARIANT) -> CanonicalModule:
-    return fp_value(u, c, variance).module
-
-
 def _fp_action(src: FpValue, dst: FpValue, f: ModuleMap, variance: str) -> ModuleMap:
     """The map src -> dst that f induces on two values of one fp functor."""
     side = {"left" if variance == COVARIANT else "right": f.matrix}
@@ -334,7 +312,7 @@ def fp_induced(u: ModuleMap, f: ModuleMap, variance: str = COVARIANT) -> ModuleM
 
 def fp_functor_from_map(u: ModuleMap, cat: IndexCategoryD,
                         variance: str = COVARIANT) -> FunctorOnD:
-    """The finitely presented functor presented by u, as a functor on D."""
+    """The fp functor presented by u, on D; D(a, -) is the one of Z/a -> 0."""
     if u.domain.modulus != cat.modulus:
         raise InputError("map modulus does not match the category")
     vals = {d: fp_value(u, cat.cyclic(d), variance) for d in cat.objects}
@@ -476,14 +454,6 @@ class NatModule:
     subgroup: Subgroup
     homs: tuple[HomModule, ...]
     offsets: tuple[int, ...]
-
-    def to_family(self, element: Sequence[int]) -> tuple[ModuleMap, ...]:
-        amb = self.subgroup.element(element)
-        fams = []
-        for i, h in enumerate(self.homs):
-            start = self.offsets[i]
-            fams.append(h.to_map(amb[start:start + h.module.ngens]))
-        return tuple(fams)
 
     def from_family(self, maps: Sequence[ModuleMap]) -> Vec:
         amb: list[int] = []

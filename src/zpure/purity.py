@@ -104,9 +104,11 @@ DEFAULT_BOUNDS = Bounds()
 
 @lru_cache(maxsize=4096)
 def _torsion_subgroup(module: CanonicalModule, d: int) -> Subgroup:
-    """The d-torsion {x : d*x == 0} as a subgroup, cached per (module, d)."""
-    scalar = ModuleMap(module, module, IntMatrix.diagonal([d] * module.ngens))
-    return scalar.kernel()
+    """The d-torsion, d > 1, cached per (module, d): it is Hom(Z/d, module),
+    generated by the carrier steps e_i/gcd(d, e_i) times the generators."""
+    hom = hom_module(CanonicalModule.cyclic(module.modulus, d), module)
+    steps = [step for ((_, step),) in hom.carriers]
+    return Subgroup(module.invariants, module.modulus, IntMatrix.diagonal(steps).entries)
 
 
 def check_hom_lifting(seq: ShortSequence):
@@ -126,8 +128,11 @@ def check_hom_lifting(seq: ShortSequence):
                           tuple(seq.g.apply(x) for x in tor_m.gens))
         if pushed.cardinality == tor_n.cardinality:
             continue
-        for y in tor_n.elements():
-            if any(y) and not pushed.contains(y):
+        # the first element(c), c in tor_n.module.elements() (last coordinate
+        # fastest), outside the image: ``element`` is an injective homomorphism
+        for j in reversed(range(tor_n.module.ngens)):
+            y = tor_n.element(tor_n.module.generator(j))
+            if not pushed.contains(y):
                 return False, {"kind": "unliftable_hom", "cyclic": d, "target": list(y)}
         raise InternalCheckError("torsion image smaller but no witness found")
     return True, None
@@ -315,12 +320,6 @@ class InducedMaps:
                 != left.order * _index(hermite_extend(middle.relations, f_gens, middle.orders))):
             return False
         return _index(hermite_extend(right.relations, g_gens, right.orders)) == carrier_index
-
-
-def induced_exact(f: ModuleMap, g: ModuleMap, left: InducedTerm, middle: InducedTerm,
-                  right: InducedTerm, blocks: int) -> bool:
-    """``InducedMaps(f, g).exact`` for one entry."""
-    return InducedMaps(f, g).exact(left, middle, right, blocks, group=None)
 
 
 @lru_cache(maxsize=16384)
@@ -703,6 +702,7 @@ def _forked_shares(share: Callable[[int], list], forked: Sequence[int]) -> list:
 # whatever the trial count.
 MAX_TRIALS = 100_000
 HARNESS_ROUND = 4096
+MAX_GENS = 48  # refused before any draw; README gives the sweep that set it
 
 
 def equivalence_harness(modulus: int, trials: int, seed: int,
@@ -724,6 +724,8 @@ def equivalence_harness(modulus: int, trials: int, seed: int,
         raise InputError("modulus must be >= 2")
     if max_gens < 0:
         raise InputError("max_gens must be >= 0")
+    if max_gens > MAX_GENS:
+        raise InputError(f"max_gens {max_gens} is over the budget of {MAX_GENS}")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
     bounds.validate()

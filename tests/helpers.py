@@ -6,10 +6,11 @@ from typing import Optional, Sequence
 from zpure.errors import InputError, InternalCheckError
 from zpure.finmod import (
     CanonicalModule,
+    DirectSum,
     ModuleMap,
     ShortSequence,
+    Subgroup,
     direct_sum,
-    direct_sum_maps,
     tensor_pair_map,
 )
 from zpure.funcat import (
@@ -18,9 +19,10 @@ from zpure.funcat import (
     FunctorOnD,
     IndexCategoryD,
     coend_tensor,
+    fp_functor_from_map,
     functor_from_values,
 )
-from zpure.purity import InducedTerm, fp_term, induced_exact
+from zpure.purity import InducedMaps, InducedTerm, fp_term
 from zpure.zmodlin import IntMatrix, solve_mod_many
 
 from oracles import reference_snf_core
@@ -89,6 +91,33 @@ def inverse(f: ModuleMap) -> ModuleMap:
     return inv
 
 
+def add_elements(module: CanonicalModule, x: Sequence[int], y: Sequence[int]) -> tuple:
+    return module.reduce([a + b for a, b in zip(x, y)])
+
+
+def subgroup_elements(sub: Subgroup) -> list:
+    """Every element of a subgroup, through its canonical coordinates."""
+    return [sub.element(c) for c in sub.module.elements()]
+
+
+def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """The pointwise sum f + g of two maps of one type."""
+    if f.domain != g.domain or f.codomain != g.codomain:
+        raise InputError("sum of maps with different types")
+    rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(f.matrix.entries, g.matrix.entries)]
+    return ModuleMap.from_rows(f.domain, f.codomain, rows)
+
+
+def direct_sum_maps(maps: Sequence[ModuleMap], dom_sum: DirectSum, cod_sum: DirectSum) -> ModuleMap:
+    """Block-diagonal map between direct sums realized in canonical form."""
+    total = None
+    for f, inc, prj in zip(maps, cod_sum.inclusions, dom_sum.projections):
+        piece = inc @ f @ prj
+        total = piece if total is None else add_maps(total, piece)
+    assert total is not None
+    return total
+
+
 def direct_sum_sequences(a: ShortSequence, b: ShortSequence) -> ShortSequence:
     """The sum of two short exact sequences, term by term."""
     ls = direct_sum([a.left, b.left])
@@ -97,6 +126,12 @@ def direct_sum_sequences(a: ShortSequence, b: ShortSequence) -> ShortSequence:
     f = direct_sum_maps([a.f, b.f], ls, ms)
     g = direct_sum_maps([a.g, b.g], ms, rs)
     return ShortSequence(ls.module, ms.module, rs.module, f, g)
+
+
+def representable(cat: IndexCategoryD, a: int) -> FunctorOnD:
+    """The covariant representable D(a, -), the fp functor of Z/a -> 0."""
+    return fp_functor_from_map(ModuleMap.zero(cat.cyclic(a), CanonicalModule.zero(cat.modulus)),
+                               cat)
 
 
 def zero_functor(cat: IndexCategoryD, variance: str = COVARIANT) -> FunctorOnD:
@@ -170,7 +205,7 @@ def fp_functor_exact(u: ModuleMap, seq: ShortSequence) -> bool:
     """Whether F_u(L) -> F_u(M) -> F_u(N) is exact, F_u = coker(Hom(a, -) ->
     Hom(b, -)) for u: b -> a."""
     terms = [fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
-    return induced_exact(seq.f, seq.g, *terms, blocks=u.domain.ngens)
+    return InducedMaps(seq.f, seq.g).exact(*terms, blocks=u.domain.ngens, group=None)
 
 
 def pp_pair_exact(phis, psis, seq: ShortSequence, free_count: int) -> bool:
@@ -180,4 +215,4 @@ def pp_pair_exact(phis, psis, seq: ShortSequence, free_count: int) -> bool:
         return True  # all three sort groups vanish; trivially exact
     terms = [InducedTerm(p.ambient_orders, p.gens, p.key, q.key, p.cardinality // q.cardinality)
              for p, q in zip(phis, psis)]
-    return induced_exact(seq.f, seq.g, *terms, blocks=free_count)
+    return InducedMaps(seq.f, seq.g).exact(*terms, blocks=free_count, group=None)

@@ -353,13 +353,13 @@ def reference_fp_catalog(modulus, depth):
     """The catalog in the order and with the members of
     ``zpure.purity.fp_catalog``."""
     from zpure.finmod import CanonicalModule
-    from zpure.funcat import eval_fp_functor
+    from zpure.funcat import fp_value
 
     test = [CanonicalModule.cyclic(modulus, d) for d in reference_divisors(modulus)]
     catalog = []
     seen = set()
     for u in reference_fp_candidates(modulus, depth):
-        sig = tuple(eval_fp_functor(u, c).invariants for c in test)
+        sig = tuple(fp_value(u, c).module.invariants for c in test)
         if sig not in seen:
             seen.add(sig)
             catalog.append(u)
@@ -442,6 +442,31 @@ def reference_check_pp_pairs(seq, bounds):
             if not reference_pp_pair_exact(phi, psi, seq):
                 return False, {"kind": "pp_pair",
                                "phi": format_pp(phi), "psi": format_pp(psi)}
+    return True, None
+
+
+def reference_torsion_subgroup(module, d):
+    """The d-torsion of module as the kernel of multiplication by d."""
+    from zpure.finmod import ModuleMap
+    from zpure.zmodlin import IntMatrix
+
+    return ModuleMap(module, module, IntMatrix.diagonal([d] * module.ngens)).kernel()
+
+
+def reference_check_hom_lifting(seq):
+    """``zpure.purity.check_hom_lifting`` as first written: the witness is
+    the first d-torsion element of the right term, in ``elements()`` order,
+    outside the image of the middle's d-torsion."""
+    from zpure.finmod import Subgroup, divisors
+
+    for d in divisors(seq.modulus)[1:]:
+        tor_m = reference_torsion_subgroup(seq.middle, d)
+        tor_n = reference_torsion_subgroup(seq.right, d)
+        pushed = Subgroup(seq.right.invariants, seq.modulus,
+                          tuple(seq.g.apply(x) for x in tor_m.gens))
+        for y in map(tor_n.element, tor_n.module.elements()):
+            if any(y) and not pushed.contains(y):
+                return False, {"kind": "unliftable_hom", "cyclic": d, "target": list(y)}
     return True, None
 
 
@@ -953,6 +978,27 @@ def reference_fp_functor_from_map(u, cat, variance="covariant"):
         cat, variance,
         lambda d: reference_fp_value(u, cat.cyclic(d), variance).module,
         lambda d, e: reference_fp_induced(u, reference_gen_map(cat, d, e), variance))
+
+
+def reference_representable_cov(cat, a):
+    """The covariant representable D(a, -): d -> Hom(Z/a, Z/d), its action
+    read off the composition table.  The package builds it as the fp
+    functor of the zero map Z/a -> 0."""
+    from zpure.finmod import CanonicalModule, ModuleMap
+    from zpure.funcat import functor_from_values
+
+    cat.index_of(a)
+
+    def value_of(d):
+        return CanonicalModule.cyclic(cat.modulus, cat.hom_order(a, d))
+
+    def action_of(d, e):
+        dom, cod = value_of(d), value_of(e)
+        if dom.is_zero() or cod.is_zero():
+            return ModuleMap.zero(dom, cod)
+        return ModuleMap.from_rows(dom, cod, [[cat.comp_coeff(a, d, e)]])
+
+    return functor_from_values(cat, "covariant", value_of, action_of)
 
 
 def reference_restrict_module(cat, c):

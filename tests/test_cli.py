@@ -473,6 +473,20 @@ def test_random_refuses_trials_over_budget_quickly(run_cli, monkeypatch):
     assert f"over the budget of {MAX_TRIALS}" in err
 
 
+def test_random_refuses_max_gens_over_budget_before_drawing(run_cli, monkeypatch):
+    from zpure import finmod, purity
+
+    assert purity.MAX_GENS >= 40  # the largest --max-gens that CI runs
+    _refuse_builds(monkeypatch)
+    monkeypatch.setattr(purity, "random_ses", lambda *a, **k: pytest.fail("drew a trial"))
+    monkeypatch.setattr(finmod, "random_module", lambda *a, **k: pytest.fail("drew a module"))
+    code, out, err = run_cli("random", "--modulus", "4", "--trials", "3",
+                             "--max-gens", "1000000000")
+    assert code == 2
+    assert _one_error_line(out, err)
+    assert f"over the budget of {purity.MAX_GENS}" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_random_refuses_jobs_below_one(run_cli, monkeypatch, jobs):
     _refuse_builds(monkeypatch)

@@ -14,9 +14,9 @@ from zpure.finmod import (
     ShortSequence,
     direct_sum,
     divisors,
-    is_split,
     random_hom,
     random_ses,
+    splitting_section,
 )
 from zpure.purity import (
     DEFAULT_BOUNDS,
@@ -35,12 +35,11 @@ from zpure.purity import (
     fp_catalog,
     fp_invariants,
     fp_term,
-    induced_exact,
     module_terms,
     purity_report,
 )
 from zpure import cli, purity
-from zpure.funcat import eval_fp_functor
+from zpure.funcat import fp_value
 from zpure.ppdef import PpFormula, PpPair, enumerate_pp, eval_pp
 from zpure.zmodlin import IntMatrix
 
@@ -48,6 +47,7 @@ from helpers import direct_sum_sequences, fp_functor_exact, inverse, pp_pair_exa
 from oracles import (
     divisor_chains,
     reference_check_fp_functors,
+    reference_check_hom_lifting,
     reference_check_pp_pairs,
     reference_eval_pp_gens,
     reference_fp_candidates,
@@ -55,6 +55,7 @@ from oracles import (
     reference_fp_functor_exact,
     reference_harness,
     reference_pp_pair_exact,
+    reference_torsion_subgroup,
     torsion_lifting_facts,
 )
 
@@ -106,6 +107,29 @@ def test_hom_lifting_witnesses_fail_purity_by_definition(n):
             break
     assert found == 12
 
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
+def test_hom_lifting_matches_the_enumerating_reference(n):
+    # the witness is read off the torsion generators, where the reference
+    # walks the torsion elements; sequences with at least 5 generators
+    impure = 0
+    for s in range(120):
+        seq = random_ses(n, f"lift:{s}", max_gens=5)
+        if seq.middle.ngens >= 5:
+            verdict = check_hom_lifting(seq)
+            assert verdict == reference_check_hom_lifting(seq), s
+            impure += not verdict[0]
+    assert impure >= 5
+
+
+@pytest.mark.parametrize("n", [6, 16, 36, 72])
+def test_torsion_subgroup_matches_the_kernel_of_d(n):
+    for chain in divisor_chains(n, 3):
+        for d in divisors(n)[1:]:
+            module = Z(n, *chain)
+            assert purity._torsion_subgroup(module, d).gens == \
+                reference_torsion_subgroup(module, d).gens, (chain, d)
+
+
 def test_split_oracle_examples():
     ok, wit = check_split_oracle(z4_nonpure())
     assert not ok and wit == {"kind": "no_section"}
@@ -126,7 +150,7 @@ def test_fp_functor_checker_examples():
     # F_u(Z/d) = Z/d for every divisor
     cat4 = fp_catalog(4, 2)
     found = any(
-        all(eval_fp_functor(u, Z(4, d) if d > 1 else Z(4)) ==
+        all(fp_value(u, Z(4, d) if d > 1 else Z(4)).module ==
             (Z(4, d) if d > 1 else Z(4)) for d in (1, 2, 4))
         for u in cat4)
     assert found
@@ -146,7 +170,7 @@ def test_fp_invariants_match_evaluation(modulus):
     divs = divisors(modulus)
     for u in reference_fp_candidates(modulus, 2):
         for d in divs:
-            expected = eval_fp_functor(u, CanonicalModule.cyclic(modulus, d)).invariants
+            expected = fp_value(u, CanonicalModule.cyclic(modulus, d)).module.invariants
             assert fp_invariants(u, d) == expected, (u, d)
 
 
@@ -265,11 +289,15 @@ def test_induced_exact_rejects_ill_defined_maps():
     whole = InducedTerm((4,), ((1,),), ((1,),), ((4,),), 4)     # Z/4 / 0
     halved = InducedTerm((4,), ((2,),), ((2,),), ((4,),), 2)    # 2Z/4 / 0
     mod_two = InducedTerm((4,), ((1,),), ((1,),), ((2,),), 2)   # Z/4 / 2Z/4
-    assert induced_exact(ident, ident, whole, whole, whole, blocks=1) is False
+
+    def exact(*terms):
+        return InducedMaps(ident, ident).exact(*terms, blocks=1, group=None)
+
+    assert exact(whole, whole, whole) is False
     with pytest.raises(InternalCheckError, match="ill-defined"):
-        induced_exact(ident, ident, whole, halved, whole, blocks=1)
+        exact(whole, halved, whole)
     with pytest.raises(InternalCheckError, match="ill-defined"):
-        induced_exact(ident, ident, mod_two, whole, whole, blocks=1)
+        exact(mod_two, whole, whole)
 
 
 def test_induced_maps_reject_ill_defined_maps_in_a_group():
@@ -378,13 +406,13 @@ def test_checkers_agree_on_random_sequences(n_mod):
         seq = random_ses(n_mod, seed=f"agree:{i}")
         rep = purity_report(seq)
         assert rep.consensus, (n_mod, i, rep.verdicts)
-        assert rep.verdicts["split"] == is_split(seq)
+        assert rep.verdicts["split"] == (splitting_section(seq) is not None)
 
 
 def test_split_implies_all_true():
     for i in range(30):
         seq = random_ses(8, seed=f"imp:{i}")
-        if is_split(seq):
+        if splitting_section(seq) is not None:
             rep = purity_report(seq)
             assert all(rep.verdicts.values())
 
@@ -455,7 +483,7 @@ def test_harness_single_split_trial():
     # find a seed whose first sequence is split, then run one trial
     seed = None
     for cand in range(50):
-        if is_split(random_ses(4, seed=f"{cand}:0")):
+        if splitting_section(random_ses(4, seed=f"{cand}:0")) is not None:
             seed = cand
             break
     assert seed is not None
