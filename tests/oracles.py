@@ -869,7 +869,16 @@ def reference_tensor_pair_map(fl, fr):
 def reference_coend_evaluation_map(F, a):
     """coend(D(-, Z/a), F) -> F(a), each tensor generator read from a lift
     column of the tensor presentation by raw index."""
-    from zpure.finmod import ModuleMap, hom_module, tensor_modules
+    from zpure.finmod import ModuleMap
+
+    coend, W = reference_coend_evaluation_ambient(F, a)
+    return coend, ModuleMap(coend.group, F.value(a), W @ coend.pres.lift)
+
+
+def reference_coend_evaluation_ambient(F, a):
+    """(coend, W): the evaluation on the coend's ambient sum of tensor
+    products, before it is pushed to the quotient."""
+    from zpure.finmod import hom_module, tensor_modules
     from zpure.funcat import _hom_scalar, coend_tensor, restrict_module
     from zpure.zmodlin import IntMatrix
 
@@ -903,8 +912,7 @@ def reference_coend_evaluation_map(F, a):
                         image[r] += w * act.matrix.entries[r][q]
             for r in range(fa.ngens):
                 W[r][coend.offsets[i_d] + col_i] += image[r]
-    final = IntMatrix.from_rows(W, cols=total) @ coend.pres.lift
-    return coend, ModuleMap(coend.group, fa, final)
+    return coend, IntMatrix.from_rows(W, cols=total)
 
 
 def reference_gen_map(cat, d, e):
@@ -1142,7 +1150,9 @@ def reference_hom_tensor_duality_map(G, F):
 
 
 def reference_coend_tensor(G, F):
-    """Coend of G and F with every relation built from ``reference_pure``."""
+    """Coend of G and F with every relation built from ``reference_pure``,
+    one per generator pair of every ordered object pair, and its injections
+    built eagerly: (CoendResult, injections)."""
     from zpure.finmod import ModuleMap, normalize_presentation, tensor_modules
     from zpure.funcat import CoendResult
     from zpure.zmodlin import IntMatrix
@@ -1186,12 +1196,14 @@ def reference_coend_tensor(G, F):
                         tuple(tuple(pres.project.entries[r][offsets[i_d] + j] for j in range(k))
                               for r in range(pres.module.ngens)))
         injections.append(ModuleMap(t.module, pres.module, mat))
-    return CoendResult(pres.module, tuple(injections), tuple(offsets), tuple(orders), pres)
+    coend = CoendResult(pres.module, tuple(offsets), tuple(orders), pres)
+    return coend, tuple(injections)
 
 
 def reference_nat_transformations(F, H):
     """``zpure.funcat.nat_transformations`` with every naturality term built
-    as a composite of validated ``ModuleMap``s."""
+    as a composite of validated ``ModuleMap``s, one block of equations per
+    ordered pair of distinct objects."""
     from zpure.finmod import Subgroup, hom_module
     from zpure.funcat import NatModule
     from zpure.zmodlin import hermite_kernel

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ from zpure.finmod import (
     ModuleMap,
     Subgroup,
     direct_sum,
+    divisors,
     dual_module,
     hom_module,
     random_hom,
@@ -57,6 +58,7 @@ from zpure.zmodlin import IntMatrix, hermite_kernel, kernel_mod
 
 from oracles import (
     all_homs,
+    reference_coend_evaluation_ambient,
     reference_coend_evaluation_map,
     reference_coend_tensor,
     reference_comp_coeff,
@@ -176,6 +178,25 @@ def test_coend_lemma_examples():
     res2 = coend_tensor(G2, F2)
     direct = tensor_modules(Z(4, 2), Z(4, 2)).module
     assert res2.group == direct
+
+
+def test_coend_checks_its_projection_against_the_tensor_orders(monkeypatch):
+    """The check that stands for the injections' ModuleMap checks: a
+    projection column not killed by its order is refused before any
+    injection is read."""
+    from zpure.finmod import Presentation, normalize_presentation
+
+    G, F = restrict_module(CAT4, Z(4, 4)), tensor_functor(CAT4, Z(4, 4))
+    assert coend_tensor(G, F).group == Z(4, 4)
+
+    def shifted(columns, orders, modulus):
+        pres = normalize_presentation(columns, orders, modulus)
+        project = IntMatrix.from_rows([[v + 1 for v in row] for row in pres.project.entries])
+        return Presentation(pres.module, project, pres.lift)
+
+    monkeypatch.setattr(funcat, "normalize_presentation", shifted)
+    with pytest.raises(InternalCheckError, match="tensor orders"):
+        coend_tensor(G, F)
 
 
 def test_coend_injections_jointly_surjective():
@@ -666,12 +687,15 @@ def test_every_funcat_cache_is_bounded():
 
 ORACLE_MODULI = (6, 8, 12, 24, 36)
 ORACLE_SEEDS = 25
+# Coends and Nat groups are built along the prime steps of D; at these moduli
+# most ordered pairs are no prime step (460 of 552 at N=360).
+LARGE_ORACLE_SEEDS = {72: 6, 360: 4}
 
 
-def _oracle_inputs(n):
+def _oracle_inputs(n, seeds=ORACLE_SEEDS):
     """(u, c, y) per seed: a random presentation map u: b -> a and two
     random modules, all with at most two generators."""
-    for i in range(ORACLE_SEEDS):
+    for i in range(seeds):
         rng = random.Random(f"table-oracle:{n}:{i}")
         b, a = random_module(n, rng, 2), random_module(n, rng, 2)
         yield random_hom(b, a, rng), random_module(n, rng, 2), random_module(n, rng, 2)
@@ -690,21 +714,29 @@ def test_functors_match_reference(n):
         assert tensor_functor(cat, y) == reference_tensor_functor(cat, y), (n, y)
 
 
-@pytest.mark.parametrize("n", ORACLE_MODULI)
+@pytest.mark.parametrize("n", ORACLE_MODULI + tuple(LARGE_ORACLE_SEEDS))
 def test_coends_match_reference(n):
+    """Relations along the prime steps against relations along every
+    ordered pair, and lazy injections against eager ones."""
     cat = build_index_category(n)
-    for i, (u, c, y) in enumerate(_oracle_inputs(n)):
+    for i, (u, c, y) in enumerate(_oracle_inputs(n, LARGE_ORACLE_SEEDS.get(n, ORACLE_SEEDS))):
         F = fp_functor_from_map(u, cat)
         contras = (restrict_module(cat, c), fp_functor_from_map(u, cat, CONTRAVARIANT),
                    dual_functor(tensor_functor(cat, y)))
         for G in contras:
-            assert coend_tensor(G, F) == reference_coend_tensor(G, F), (n, i, G.values)
+            coend = coend_tensor(G, F)
+            ref, ref_injections = reference_coend_tensor(G, F)
+            assert (coend.group, coend.pres, coend.offsets, coend.orders) == \
+                (ref.group, ref.pres, ref.offsets, ref.orders), (n, i, G.values)
+            assert "injections" not in vars(coend)
+            assert coend.injections == ref_injections, (n, i, G.values)
+            assert coend.injections is coend.injections
 
 
-@pytest.mark.parametrize("n", ORACLE_MODULI)
+@pytest.mark.parametrize("n", ORACLE_MODULI + tuple(LARGE_ORACLE_SEEDS))
 def test_nat_transformations_match_reference(n):
     cat = build_index_category(n)
-    for i, (u, c, y) in enumerate(_oracle_inputs(n)):
+    for i, (u, c, y) in enumerate(_oracle_inputs(n, LARGE_ORACLE_SEEDS.get(n, ORACLE_SEEDS))):
         F = fp_functor_from_map(u, cat)
         pairs = ((F, tensor_functor(cat, y)), (tensor_functor(cat, c), tensor_functor(cat, y)),
                  (fp_functor_from_map(u, cat, CONTRAVARIANT), restrict_module(cat, c)),
@@ -742,6 +774,26 @@ def test_coend_evaluation_map_matches_reference(n):
         coend, themap = coend_evaluation_map(F, a)
         assert (coend, themap) == reference_coend_evaluation_map(F, a), (n, i, a)
         nonzero += not themap.is_zero_map()
+    assert nonzero >= 5, nonzero
+
+
+@pytest.mark.parametrize("n", (6, 12, 24, 72))
+def test_coend_evaluation_kills_every_relation(n):
+    """The ambient evaluation W kills the coend relations exactly when it
+    factors through ``pres.project``, the quotient by them: W must be
+    congruent to ``final @ project`` modulo the invariants of F(a)."""
+    cat = build_index_category(n)
+    rng = random.Random(f"evaluation-relations:{n}")
+    nonzero = 0
+    for i in range(30):
+        F = random_functor(cat, rng)
+        a = rng.choice(cat.objects)
+        coend, W = reference_coend_evaluation_ambient(F, a)
+        _, themap = coend_evaluation_map(F, a)
+        back = themap.matrix @ coend.pres.project
+        for w_row, b_row, m in zip(W.entries, back.entries, F.value(a).invariants):
+            assert all((w - b) % m == 0 for w, b in zip(w_row, b_row)), (n, i, a)
+        nonzero += any(map(any, W.entries))
     assert nonzero >= 5, nonzero
 
 
@@ -784,3 +836,38 @@ def test_index_category_tables():
             assert cat.gen_map(d, e) is cat.gen_map(d, e)
     with pytest.raises(InputError, match="not an object"):
         cat.index_of(5)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 12, 24, 36, 72, 360, 720, 2520))
+def test_prime_steps_generate_the_index_category(n):
+    """The prime steps are the directed Hasse edges of the divisor lattice,
+    and every g_{d,f} is the composite of the steps along d -> gcd(d, f) -> f
+    with coefficient 1, so relations and naturality along the steps imply
+    them along every canonical generator."""
+    cat = IndexCategoryD(n, tuple(divisors(n)))
+    objs = cat.objects
+    primes = [p for p in objs if _is_prime(p)]
+    hasse = {(i, j) for i, d in enumerate(objs) for j, e in enumerate(objs)
+             if max(d, e) % min(d, e) == 0 and _is_prime(max(d, e) // min(d, e))}
+    assert len(cat.prime_steps) == len(set(cat.prime_steps))
+    assert set(cat.prime_steps) == hasse, n
+    if n == 24:
+        assert len(hasse) == 20
+    steps = set(cat.prime_steps)
+    for d in objs:
+        for f in objs:
+            g = gcd(d, f)
+            path = [d]
+            while path[-1] != g:
+                path.append(path[-1] // next(p for p in primes if (path[-1] // g) % p == 0))
+            while path[-1] != f:
+                path.append(path[-1] * next(p for p in primes if (f // path[-1]) % p == 0))
+            coeff = 1
+            for cur, nxt in zip(path, path[1:]):
+                assert (cat.index_of(cur), cat.index_of(nxt)) in steps, (n, cur, nxt)
+                coeff = coeff * cat.comp_coeff(d, cur, nxt) % gcd(d, nxt)
+            assert (coeff - 1) % g == 0, (n, d, f, path, coeff)
