@@ -561,34 +561,24 @@ class ShortSequence:
 
 
 def splitting_section(seq: ShortSequence) -> Optional[ModuleMap]:
-    """A section s with g o s == id, or None when no section exists."""
+    """A section s with g o s == id, or None when no section exists.
+
+    Column j of s is solved on its own: it is sum_i c_i s_i e_i, with
+    s_i = m_i/gcd(m_i, n_j) the step of Hom(Z/n_j, Z/m_i), and g must send
+    it to e_j modulo the right invariants.
+    """
     m_inv = seq.middle.invariants
     n_inv = seq.right.invariants
-    n_m, n_n = len(m_inv), len(n_inv)
-    if n_n == 0:
-        return ModuleMap.zero(seq.right, seq.middle)
-    # unknowns: cyclic hom coordinates c_(i,j) of s, entry a_ij = c_ij*(m_i/gcd)
-    unknowns = [(i, j) for i in range(n_m) for j in range(n_n)]
-    steps = {(i, j): m_inv[i] // gcd(m_inv[i], n_inv[j]) for i, j in unknowns}
-    rows = []
-    rhs = []
-    moduli = []
-    G = seq.g.matrix
-    for k in range(n_n):
-        for j in range(n_n):
-            row = []
-            for (i, jj) in unknowns:
-                row.append(G.entries[k][i] * steps[(i, jj)] if jj == j else 0)
-            rows.append(row)
-            rhs.append(1 if k == j else 0)
-            moduli.append(n_inv[k])
-    c = hermite_solve(hermite_system(rows, moduli, len(unknowns)), rhs, moduli)
-    if c is None:
-        return None
-    mat_rows = [[0] * n_n for _ in range(n_m)]
-    for idx, (i, j) in enumerate(unknowns):
-        mat_rows[i][j] = c[idx] * steps[(i, j)]
-    s = ModuleMap(seq.right, seq.middle, IntMatrix.from_rows(mat_rows, cols=n_n))
+    cols = []
+    for j, n_j in enumerate(n_inv):
+        steps = [m // gcd(m, n_j) for m in m_inv]
+        rows = [list(map(mul, row, steps)) for row in seq.g.matrix.entries]
+        e_j = [int(k == j) for k in range(len(n_inv))]
+        c = hermite_solve(hermite_system(rows, n_inv, len(m_inv)), e_j, n_inv)
+        if c is None:
+            return None
+        cols.append(list(map(mul, c, steps)))
+    s = ModuleMap(seq.right, seq.middle, IntMatrix.from_columns(cols, len(m_inv)))
     if (seq.g @ s) != ModuleMap.identity(seq.right):
         raise InternalCheckError("section verification failed")
     return s

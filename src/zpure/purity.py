@@ -702,7 +702,7 @@ def _forked_shares(share: Callable[[int], list], forked: Sequence[int]) -> list:
 # whatever the trial count.
 MAX_TRIALS = 100_000
 HARNESS_ROUND = 4096
-MAX_GENS = 48  # refused before any draw; README gives the sweep that set it
+MAX_GENS = 48  # refused before any draw; README (Scope) times it and says why it stays
 
 
 def equivalence_harness(modulus: int, trials: int, seed: int,

@@ -132,22 +132,28 @@ def apply_matrix(mat, x, cod_invs):
 
 def torsion_lifting_facts(seq, d, y):
     """For 0 -> L -f-> M -g-> C -> 0 and y in C, by enumerating elements:
-    (d*y == 0 in C, y in g(M[d]), A & dM == dA) with A = f(L).
+    (d*y == 0 in C, y in g(M[d]), ``pure_at(seq, d)``).
 
-    The last is the definition of purity at d; by the snake lemma for
-    multiplication by d it fails exactly when M[d] -> C[d] is not onto.
+    By the snake lemma for multiplication by d, purity at d fails exactly
+    when M[d] -> C[d] is not onto.
     """
     inv_m, inv_c = seq.middle.invariants, seq.right.invariants
     g = seq.g.matrix.tolists()
-    middle = module_elements(inv_m)
     killed = not any(d * v % e for v, e in zip(y, inv_c))
-    lifts = any(apply_matrix(g, x, inv_c) == tuple(y)
-                for x in middle if not any(d * v % e for v, e in zip(x, inv_m)))
+    lifts = any(apply_matrix(g, x, inv_c) == tuple(y) for x in module_elements(inv_m)
+                if not any(d * v % e for v, e in zip(x, inv_m)))
+    return killed, lifts, pure_at(seq, d)
+
+
+def pure_at(seq, d):
+    """A & dM == dA with A = f(L) in M, by enumerating elements: the
+    definition of purity at d (Fuchs, Infinite Abelian Groups I, 1970, 26)."""
+    inv_m = seq.middle.invariants
     A = {apply_matrix(seq.f.matrix.tolists(), a, inv_m)
          for a in module_elements(seq.left.invariants)}
-    dM = {tuple(d * v % e for v, e in zip(x, inv_m)) for x in middle}
+    dM = {tuple(d * v % e for v, e in zip(x, inv_m)) for x in module_elements(inv_m)}
     dA = {tuple(d * v % e for v, e in zip(a, inv_m)) for a in A}
-    return killed, lifts, A & dM == dA
+    return A & dM == dA
 
 
 def pp_solution_set(A_rows, B_rows, invs):
@@ -468,6 +474,40 @@ def reference_check_hom_lifting(seq):
             if any(y) and not pushed.contains(y):
                 return False, {"kind": "unliftable_hom", "cyclic": d, "target": list(y)}
     return True, None
+
+
+def reference_splitting_section(seq):
+    """``zpure.finmod.splitting_section`` as one joint system: n_N^2 rows
+    (k, j) over n_M*n_N unknowns c_(i,j), the cyclic hom coordinates of the
+    section, entry a_ij = c_ij*(m_i/gcd(m_i, n_j)).  The section's matrix,
+    or None when the system has no solution."""
+    from zpure.finmod import ModuleMap
+    from zpure.zmodlin import IntMatrix, hermite_solve, hermite_system
+
+    m_inv = seq.middle.invariants
+    n_inv = seq.right.invariants
+    n_m, n_n = len(m_inv), len(n_inv)
+    if n_n == 0:
+        return ModuleMap.zero(seq.right, seq.middle)
+    unknowns = [(i, j) for i in range(n_m) for j in range(n_n)]
+    steps = {(i, j): m_inv[i] // gcd(m_inv[i], n_inv[j]) for i, j in unknowns}
+    rows = []
+    rhs = []
+    moduli = []
+    G = seq.g.matrix
+    for k in range(n_n):
+        for j in range(n_n):
+            rows.append([G.entries[k][i] * steps[(i, jj)] if jj == j else 0
+                         for (i, jj) in unknowns])
+            rhs.append(1 if k == j else 0)
+            moduli.append(n_inv[k])
+    c = hermite_solve(hermite_system(rows, moduli, len(unknowns)), rhs, moduli)
+    if c is None:
+        return None
+    mat_rows = [[0] * n_n for _ in range(n_m)]
+    for idx, (i, j) in enumerate(unknowns):
+        mat_rows[i][j] = c[idx] * steps[(i, j)]
+    return ModuleMap(seq.right, seq.middle, IntMatrix.from_rows(mat_rows, cols=n_n))
 
 
 def reference_divisors(n):

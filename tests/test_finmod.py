@@ -51,6 +51,7 @@ from oracles import (
     reference_pair,
     reference_pure,
     reference_quotient_presentation,
+    reference_splitting_section,
     reference_tensor_pair_map,
     span_mod,
 )
@@ -634,6 +635,24 @@ def test_split_implies_exact_and_section_exact():
             found_split += 1
             assert (seq.g @ s) == ModuleMap.identity(seq.right)
     assert found_split > 0
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 24, 36, 72, 360])
+def test_splitting_section_matches_the_joint_system(n):
+    # one system per column of the section against the joint system it
+    # replaced: the same matrix, and None together, on each sequence and
+    # on its character dual; over a squarefree n every sequence splits
+    verdicts = []
+    for max_gens in (3, 6):
+        for i in range(100):
+            seq = random_ses(n, seed=f"section:{i}", max_gens=max_gens)
+            dual = ShortSequence.from_maps(dual_map(seq.g), dual_map(seq.f))
+            for s in (seq, dual):
+                section = splitting_section(s)
+                assert section == reference_splitting_section(s), (max_gens, i, s is dual)
+                verdicts.append(section is not None)
+    squarefree = all(n % (p * p) for p in range(2, n))
+    assert any(verdicts) and all(verdicts) == squarefree
 
 
 def test_dualized_sequence_exact():

@@ -4,6 +4,7 @@ import os
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,10 @@ from zpure.finmod import (
     CanonicalModule,
     ModuleMap,
     ShortSequence,
+    Subgroup,
     direct_sum,
     divisors,
+    quotient_by_subgroup,
     random_hom,
     random_ses,
     splitting_section,
@@ -41,11 +44,13 @@ from zpure.purity import (
 from zpure import cli, purity
 from zpure.funcat import fp_value
 from zpure.ppdef import PpFormula, PpPair, enumerate_pp, eval_pp
-from zpure.zmodlin import IntMatrix
+from zpure.zmodlin import IntMatrix, hermite_extend, hermite_key
 
 from helpers import direct_sum_sequences, fp_functor_exact, inverse, pp_pair_exact
 from oracles import (
     divisor_chains,
+    module_elements,
+    pure_at,
     reference_check_fp_functors,
     reference_check_hom_lifting,
     reference_check_pp_pairs,
@@ -106,6 +111,69 @@ def test_hom_lifting_witnesses_fail_purity_by_definition(n):
         if found == 12:
             break
     assert found == 12
+
+
+def subgroup_keys(orders):
+    """The Hermite key of every subgroup of prod Z/o_i, breadth-first: each
+    known key is extended by each element."""
+    zero = hermite_key((), orders)
+    seen, frontier = {zero}, [zero]
+    elements = module_elements(orders)
+    while frontier:
+        new = []
+        for key in frontier:
+            for x in elements:
+                k = hermite_extend(key, (x,), orders)
+                if k not in seen:
+                    seen.add(k)
+                    new.append(k)
+        frontier = new
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("n, max_gens, sequences, pure", [
+    (4, 2, 34, 24), (6, 2, 72, 72), (8, 2, 108, 56), (9, 2, 45, 33),
+    (12, 2, 306, 216), (16, 2, 291, 118), (4, 3, 260, 154)])
+def test_every_subgroup_is_judged_by_the_definition_of_purity(n, max_gens, sequences, pure):
+    # 0 -> A -> M -> M/A -> 0 for every subgroup A of every chain-form M:
+    # all six verdicts are "A & dM == dA for every d | n", and an impure
+    # A fails the definition at the hom_lifting witness's d
+    counts = [0, 0]
+    for chain in divisor_chains(n, max_gens):
+        middle = CanonicalModule(n, chain)
+        for key in subgroup_keys(chain):
+            sub = Subgroup(chain, n, key)
+            _, proj, _ = quotient_by_subgroup(middle, sub)
+            seq = ShortSequence.from_maps(sub.inclusion_into(middle), proj)
+            expected = all(pure_at(seq, d) for d in divisors(n))
+            rep = purity_report(seq)
+            assert set(rep.verdicts.values()) == {expected}, (chain, key, rep.verdicts)
+            if not expected:
+                assert not pure_at(seq, rep.witnesses["hom_lifting"]["cyclic"]), (chain, key)
+            counts[0] += 1
+            counts[1] += expected
+    assert counts == [sequences, pure]
+
+
+@pytest.mark.parametrize("seed, splits", [("big:11", True), ("2:0", False)])
+def test_split_checkers_stay_small_on_large_generators(seed, splits):
+    # 45 middle generators: the joint section system peaked at 313 and 269 MB
+    seq = random_ses(4, seed=seed, max_gens=48)
+    assert seq.middle.ngens == 45
+    tracemalloc.start()
+    try:
+        section = splitting_section(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert (section is not None) == splits
+    if splits:
+        assert seq.g @ section == ModuleMap.identity(seq.right)
+    lifting = check_hom_lifting(seq)[0]
+    assert check_split_oracle(seq)[0] == lifting == splits
+    assert check_dual_split(seq)[0] == lifting
+
 
 @pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
 def test_hom_lifting_matches_the_enumerating_reference(n):
