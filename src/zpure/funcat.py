@@ -2,19 +2,23 @@
 
 The index category D has one object per divisor d of N, standing for the
 cyclic module Z/d.  Hom(Z/d, Z/e) is cyclic of order gcd(d, e) with canonical
-generator g_{d,e}: 1 -> e/gcd(d, e); composites of canonical generators are
-scalar multiples of canonical generators, so a single coefficient table
-describes all of D.  Every finite Z/N-module is a direct sum of the cyclic
-ones, so additive functors on D determine additive functors on all finite
-modules; this is what makes the index finite.
+generator g_{d,e}: 1 -> e/gcd(d, e).  Every finite Z/N-module is a direct sum
+of the cyclic ones, so additive functors on D determine additive functors on
+all finite modules; this is what makes the index finite.
 
-``build_index_category`` builds D once per modulus: its coefficient table is
-computed once and checked for associativity once.
+D is generated by its prime steps, the g_{d,e} with e = d*p or d = e*p for a
+prime p (``IndexCategoryD.prime_steps``; 20 of 64 pairs at N=24, 232 of 2,304
+at N=2520): g_{d,f} is the composite of the steps along the chain
+d -> gcd(d, f) -> f, with coefficient 1.  An additive functor is stored by
+its values (canonical modules; D is Z/N-linear, so values are automatically
+Z/N-modules) and by its actions on the prime steps only.  It is validated on
+the relations that present D through those steps (``FunctorOnD._validate``),
+on integer matrices, and ``FunctorOnD.action`` composes any other action
+along the chain on first use.  Coends impose their relations, and Nat systems
+their naturality equations, along the prime steps only.  The relation and
+solution lattices are those of all pairs, and both are read through
+canonical forms, so the results are too.
 
-An additive functor is stored by its values (canonical modules; D is
-Z/N-linear, so values are automatically Z/N-modules) and by its action on
-each canonical generator; identities, types, hom-group torsion and the
-composition table are verified at construction, on integer matrices.
 Actions move hom elements with ``finmod``'s ``precompose``, ``postcompose``
 and ``_hom_push``, through the raw cyclic coordinates that
 ``HomModule.entries`` and ``HomModule.coords`` own, building no ModuleMap per
@@ -23,14 +27,6 @@ element.  Character duals are the hom groups Hom(-, Z/N) of
 the same two calls.  Natural transformations solve one congruence system with
 the modular Hermite kernel ``zmodlin.hermite_kernel``, whose entries never
 exceed N.
-
-D is generated by its prime steps, the g_{d,e} with e = d*p or d = e*p for a
-prime p: g_{d,f} = g_{gcd,f} o g_{d,gcd}, and each factor is a chain of prime
-steps whose composites have coefficient 1.  So coends impose their relations,
-and Nat systems their naturality equations, along the prime steps only
-(``IndexCategoryD.prime_steps``; 20 of 56 ordered pairs at N=24, 118 of 870 at
-N=720).  The relation and solution lattices are those of all pairs, and both
-are read through canonical forms, so the results are too.
 """
 
 from __future__ import annotations
@@ -70,36 +66,29 @@ COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
 
 
-def _coefficient(d: int, e: int, f: int) -> int:
-    if f == 1:
-        return 0
-    composite = ((e // gcd(d, e)) * (f // gcd(e, f))) % f
-    gdf = gcd(d, f)
-    gen = f // gdf
-    if composite % gen:
-        raise InternalCheckError("composite not a multiple of the canonical generator")
-    return (composite // gen) % gdf
-
-
 @dataclass(frozen=True)
 class IndexCategoryD:
-    """Equal and hashed by (modulus, objects); comp_coeff reads a table built once.
+    """Equal and hashed by (modulus, objects).
 
     ``prime_steps`` lists the index pairs (i, j) whose objects differ by one
     prime factor, in both directions: the directed Hasse edges of the divisors.
+    The relations among them, by step number k into ``prime_steps``:
+    ``round_trips`` holds (i, k, k_back, p) for the path i -> j -> i, which
+    is p times the identity of i; ``squares`` holds (x, y, k1, k2, k3, k4)
+    for the paths k1 then k2 and k3 then k4 from x to y, opposite corners of
+    a square d, dp, dq, dpq, which are equal.
     """
 
     modulus: int
     objects: tuple[int, ...]
-    _coeffs: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _gen_maps: dict = field(init=False, repr=False, compare=False)
     prime_steps: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    round_trips: tuple = field(init=False, repr=False, compare=False)
+    squares: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objs = self.objects
-        object.__setattr__(self, "_coeffs", {(d, e, f): _coefficient(d, e, f)
-                                             for d in objs for e in objs for f in objs})
         index = {d: i for i, d in enumerate(objs)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_gen_maps", {})
@@ -114,7 +103,23 @@ class IndexCategoryD:
             for p in primes:
                 if d * p in index:
                     steps.update(((index[d], index[d * p]), (index[d * p], index[d])))
-        object.__setattr__(self, "prime_steps", tuple(sorted(steps)))
+        steps = tuple(sorted(steps))
+        number = {pair: k for k, pair in enumerate(steps)}
+        round_trips = tuple((i, k, number[j, i], max(objs[i], objs[j]) // min(objs[i], objs[j]))
+                            for k, (i, j) in enumerate(steps))
+        squares = []
+        for d in objs:
+            for a, p in enumerate(primes):
+                for q in primes[a + 1:]:
+                    if d * p * q in index:
+                        b, bp, bq, bpq = index[d], index[d * p], index[d * q], index[d * p * q]
+                        for x, y, m1, m2 in ((b, bpq, bp, bq), (bpq, b, bp, bq),
+                                             (bp, bq, b, bpq), (bq, bp, b, bpq)):
+                            squares.append((x, y, number[x, m1], number[m1, y],
+                                            number[x, m2], number[m2, y]))
+        object.__setattr__(self, "prime_steps", steps)
+        object.__setattr__(self, "round_trips", round_trips)
+        object.__setattr__(self, "squares", tuple(squares))
 
     def index_of(self, d: int) -> int:
         try:
@@ -124,9 +129,6 @@ class IndexCategoryD:
 
     def cyclic(self, d: int) -> CanonicalModule:
         return CanonicalModule.cyclic(self.modulus, d)
-
-    def hom_order(self, d: int, e: int) -> int:
-        return gcd(d, e)
 
     def gen_image(self, d: int, e: int) -> int:
         """Image of 1 under the canonical generator g_{d,e}: Z/d -> Z/e."""
@@ -142,35 +144,27 @@ class IndexCategoryD:
             self._gen_maps[d, e] = m
         return m
 
-    def comp_coeff(self, d: int, e: int, f: int) -> int:
-        """Coefficient c with g_{e,f} o g_{d,e} == c * g_{d,f} (c mod gcd(d, f))."""
-        return self._coeffs[d, e, f]
-
 
 @lru_cache(maxsize=16)
 def build_index_category(modulus: int) -> IndexCategoryD:
+    """D for one modulus, built once.
+
+    No composition table is kept or checked.  A composite g_{e,f} o g_{d,e}
+    is a multiple c * g_{d,f} of the generator, c read off two explicit maps
+    of cyclic modules; such coefficients are associative because composing
+    maps is: both ways of bracketing g_{f,h} o g_{e,f} o g_{d,e} are one map,
+    and g_{d,h} has order gcd(d, h).
+    """
     if modulus < 1:
         raise InputError("modulus must be >= 1")
-    cat = IndexCategoryD(modulus, tuple(divisors(modulus)))
-    for d in cat.objects:
-        if d > 1 and cat.comp_coeff(d, d, d) != 1:
-            raise InternalCheckError("identity generator is not the identity")
-    objs = cat.objects
-    for d in objs:
-        for e in objs:
-            for f in objs:
-                for h in objs:
-                    lhs = cat.comp_coeff(d, e, f) * cat.comp_coeff(d, f, h)
-                    rhs = cat.comp_coeff(e, f, h) * cat.comp_coeff(d, e, h)
-                    if (lhs - rhs) % gcd(d, h):
-                        raise InternalCheckError("composition table is not associative")
-    return cat
+    return IndexCategoryD(modulus, tuple(divisors(modulus)))
 
 
 @dataclass(frozen=True)
 class FunctorOnD:
-    """An additive functor on D, stored on objects and canonical generators.
+    """An additive functor on D, stored on objects and prime steps.
 
+    ``steps[k]`` is F(g_{d,e}) for the k-th pair of ``category.prime_steps``.
     For a covariant functor ``action(d, e)`` is F(g_{d,e}): F(d) -> F(e);
     for a contravariant one it is F(g_{d,e}): F(e) -> F(d).
     """
@@ -178,73 +172,102 @@ class FunctorOnD:
     category: IndexCategoryD
     variance: str
     values: tuple[CanonicalModule, ...]
-    actions: tuple[ModuleMap, ...]  # flattened (index d, index e)
+    steps: tuple[ModuleMap, ...]
+    _actions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variance not in (COVARIANT, CONTRAVARIANT):
             raise InputError("variance must be covariant or contravariant")
-        nobj = len(self.category.objects)
-        if len(self.values) != nobj or len(self.actions) != nobj * nobj:
+        cat = self.category
+        if len(self.values) != len(cat.objects) or len(self.steps) != len(cat.prime_steps):
             raise InputError("functor data has wrong shape")
         self._validate()
+        object.__setattr__(self, "_actions", dict(zip(cat.prime_steps, self.steps)))
 
     def value(self, d: int) -> CanonicalModule:
         return self.values[self.category.index_of(d)]
 
     def action(self, d: int, e: int) -> ModuleMap:
-        nobj = len(self.category.objects)
-        return self.actions[self.category.index_of(d) * nobj + self.category.index_of(e)]
+        """F(g_{d,e}): the identity when d == e, a stored step, or else the
+        composite of the actions along d -> gcd(d, e) -> e, one prime at a
+        time, kept once built (at most d(N)^2 maps).  That chain composes to
+        g_{d,e} with coefficient 1: its steps down send 1 to 1, and its
+        steps up compose to 1 -> e/gcd(d, e)."""
+        cat = self.category
+        i, j = cat.index_of(d), cat.index_of(e)
+        act = self._actions.get((i, j))
+        if act is None:
+            if i == j:
+                act = ModuleMap.identity(self.values[i])
+            else:
+                g = gcd(d, e)
+                rest = d // g if d != g else e // d
+                p = next(q for q in cat.objects[1:] if rest % q == 0)
+                mid = d // p if d != g else d * p
+                first, then = self.action(d, mid), self.action(mid, e)
+                act = then @ first if self.is_covariant() else first @ then
+            self._actions[i, j] = act
+        return act
 
     def is_covariant(self) -> bool:
         return self.variance == COVARIANT
 
     def _validate(self):
-        """Identities, types, hom-group torsion and the composition table, on
-        the actions' normalised matrices (composites of well-defined maps are
-        well defined, so no ModuleMap is built per triple)."""
+        """Hom-group torsion, the steps' types and the relations of the prime
+        steps, on the steps' integer matrices reduced modulo their targets.
+
+        The relations present D.  Let P be the Z-linear category on the
+        divisors generated by the prime steps, with d * id_d = 0, the round
+        trips d -> dp -> d and dp -> d -> dp equal to p * id, and the two paths
+        between opposite corners of each square d, dp, dq, dpq (p != q) equal.
+        They hold in D, so P maps to D, the chain d -> gcd(d, e) -> e to
+        g_{d,e}.  The squares move steps down before steps up and sort the
+        primes; the round trips cancel a step up and down by one prime at a
+        scalar.  So every path from d to e is c times the chain, whose order
+        divides d and e as d * id_d = 0 = e * id_e: P(d, e) -> D(d, e) is onto
+        a group of order gcd(d, e) from one no larger, so P is D.  In F,
+        d * id_d = 0 says every invariant of F(d) divides d; it implies the
+        hom-group torsion of every step.
+        """
         cat, cov = self.category, self.is_covariant()
-        objs, n = cat.objects, len(cat.objects)
-        for i, act in enumerate(self.actions[::n + 1]):
-            v = self.values[i]
-            if (act.domain != v or act.codomain != v
-                    or act.matrix != IntMatrix.identity(v.ngens)):
-                raise InputError("functor does not send identity generators to identities")
-        for i, d in enumerate(objs):
-            for j, e in enumerate(objs):
-                act = self.actions[i * n + j]
-                src, dst = (self.values[i], self.values[j]) if cov else \
-                    (self.values[j], self.values[i])
-                if act.domain != src or act.codomain != dst:
-                    raise InputError("action has the wrong type for the variance")
-                h = cat.hom_order(d, e)
-                if any((h * v) % m for row, m in zip(act.matrix.entries, dst.invariants)
-                       for v in row):
-                    raise InputError("action violates hom-group torsion")
-        rows = [a.matrix.entries for a in self.actions]
-        cols = [a.matrix.columns() for a in self.actions]
-        comp = cat.comp_coeff
-        for i, d in enumerate(objs):
-            for k, f in enumerate(objs):
-                target = rows[i * n + k]
-                if not target or not target[0]:
-                    continue  # a map from or to zero
-                mods = self.values[k if cov else i].invariants
-                for j, e in enumerate(objs):
-                    c = comp(d, e, f)
-                    outer, inner = (rows[j * n + k], cols[i * n + j]) if cov else \
-                        (rows[i * n + j], cols[j * n + k])
-                    for row, trow, m in zip(outer, target, mods):
-                        for col, t in zip(inner, trow):
-                            if (sum(map(mul, row, col)) - c * t) % m:
-                                raise InputError("functor violates the composition table")
+        values = self.values
+        for d, v in zip(cat.objects, values):
+            if any(d % m for m in v.invariants):
+                raise InputError("action violates hom-group torsion")
+        for (i, j), act in zip(cat.prime_steps, self.steps):
+            src, dst = (values[i], values[j]) if cov else (values[j], values[i])
+            if act.domain != src or act.codomain != dst:
+                raise InputError("action has the wrong type for the variance")
+        rows = [a.matrix.entries for a in self.steps]
+        cols = [a.matrix.columns() for a in self.steps]
+
+        def path(k1: int, k2: int) -> list[list[int]]:
+            """F of step k1 followed by step k2, unreduced."""
+            outer, inner = (rows[k2], cols[k1]) if cov else (rows[k1], cols[k2])
+            return [[sum(map(mul, row, col)) for col in inner] for row in outer]
+
+        def agree(lhs, rhs, target: CanonicalModule):
+            """lhs == rhs as maps into target: entrywise modulo its invariants."""
+            if any((a - b) % m for lrow, rrow, m in zip(lhs, rhs, target.invariants)
+                   for a, b in zip(lrow, rrow)):
+                raise InputError("functor violates the composition table")
+
+        for i, k, k_back, p in cat.round_trips:
+            n = values[i].ngens
+            agree(path(k, k_back), [[p * (r == c) for c in range(n)] for r in range(n)], values[i])
+        for x, y, k1, k2, k3, k4 in cat.squares:
+            agree(path(k1, k2), path(k3, k4), values[y if cov else x])
 
 
 def functor_from_values(cat: IndexCategoryD, variance: str,
                         value_of: Callable[[int], CanonicalModule],
                         action_of: Callable[[int, int], ModuleMap]) -> FunctorOnD:
-    values = tuple(value_of(d) for d in cat.objects)
-    actions = tuple(action_of(d, e) for d in cat.objects for e in cat.objects)
-    return FunctorOnD(cat, variance, values, actions)
+    """The functor with these values and actions; ``action_of`` is called on
+    the prime steps only."""
+    objs = cat.objects
+    values = tuple(value_of(d) for d in objs)
+    steps = tuple(action_of(objs[i], objs[j]) for i, j in cat.prime_steps)
+    return FunctorOnD(cat, variance, values, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +417,16 @@ def coend_tensor(G: FunctorOnD, F: FunctorOnD) -> CoendResult:
 
     # The relation of (x in G(e), y in F(d)) is G(g_{d,e})x (x) y at d minus
     # x (x) F(g_{d,e})y at e.
-    n = len(cat.objects)
     g_gens = [_generators(v) for v in G.values]
     f_gens = [_generators(v) for v in F.values]
     rel_cols: list[list[int]] = []
-    for i_d, i_e in cat.prime_steps:
+    for (i_d, i_e), g_act, f_act in zip(cat.prime_steps, G.steps, F.steps):
         fd, off_d = F.values[i_d], offsets[i_d]
         ge, off_e = G.values[i_e], offsets[i_e]
         if ge.is_zero() or fd.is_zero():
             continue
-        g_cols = G.actions[i_d * n + i_e].matrix.columns()     # G(e) -> G(d)
-        f_cols = F.actions[i_d * n + i_e].matrix.columns()     # F(d) -> F(e)
+        g_cols = g_act.matrix.columns()     # G(e) -> G(d)
+        f_cols = f_act.matrix.columns()     # F(d) -> F(e)
         for x, gx in enumerate(g_cols):
             for y, fy in enumerate(f_cols):
                 left = tensors[i_d].pure(gx, f_gens[i_d][y])
@@ -530,10 +552,8 @@ def nat_transformations(F: FunctorOnD, H: FunctorOnD) -> NatModule:
     rows: list[list[int]] = []
     moduli: list[int] = []
     cov = F.is_covariant()
-    n = len(cat.objects)
-    for i_d, i_e in cat.prime_steps:
-        f_act = F.actions[i_d * n + i_e].matrix
-        h_act = H.actions[i_d * n + i_e].matrix
+    for (i_d, i_e), f_step, h_step in zip(cat.prime_steps, F.steps, H.steps):
+        f_act, h_act = f_step.matrix, h_step.matrix
         # naturality against g_{d,e} is an equation in Hom(dom_val, cod_val)
         if cov:
             dom_val, cod_val = F.values[i_d], H.values[i_e]

@@ -528,15 +528,18 @@ def divisor_chains(n, max_gens):
 
 # ---------------------------------------------------------------------------
 # The functor-category checks as first written: the composition coefficient
-# from its formula, and the functor laws checked by building and comparing
-# validated module maps.  They are the references for the coefficient table
-# of ``zpure.funcat.IndexCategoryD`` and the integer-table validator of
-# ``zpure.funcat.FunctorOnD``.
+# from its formula, its associativity over every quadruple of objects, the
+# functor laws checked by building and comparing validated module maps on
+# every triple of objects, and the functors built with an action for every
+# ordered pair of objects.  They are the references for the prime steps of
+# ``zpure.funcat.IndexCategoryD`` and for ``zpure.funcat.FunctorOnD``, which
+# stores and validates the actions of the prime steps only.
 
 
 def reference_comp_coeff(d, e, f):
     """Coefficient c with g_{e,f} o g_{d,e} == c * g_{d,f} (c mod gcd(d, f)),
-    where g_{d,e}: Z/d -> Z/e sends 1 to e / gcd(d, e)."""
+    where g_{d,e}: Z/d -> Z/e sends 1 to e / gcd(d, e): the image of 1 under
+    the composite of the two maps, read in units of the generator's image."""
     if f == 1:
         return 0
     composite = ((e // gcd(d, e)) * (f // gcd(e, f))) % f
@@ -546,28 +549,45 @@ def reference_comp_coeff(d, e, f):
     return (composite // gen) % gdf
 
 
+def reference_check_associativity(objects):
+    """Assert that the coefficients of the objects' canonical generators have
+    g_{d,d} as identity and are associative on every quadruple (d, e, f, h):
+    the table ``zpure.funcat.build_index_category`` once built and checked."""
+    coeff = {(d, e, f): reference_comp_coeff(d, e, f)
+             for d in objects for e in objects for f in objects}
+    for d in objects:
+        assert d == 1 or coeff[d, d, d] == 1, d
+    for d in objects:
+        for e in objects:
+            for f in objects:
+                c_def = coeff[d, e, f]
+                for h in objects:
+                    lhs = c_def * coeff[d, f, h]
+                    rhs = coeff[e, f, h] * coeff[d, e, h]
+                    assert (lhs - rhs) % gcd(d, h) == 0, (d, e, f, h)
+
+
 def reference_validate_functor(cat, variance, values, actions):
     """Raise ``InputError`` with the validator's message when the data break
-    a functor law; the rules run in the order of ``FunctorOnD._validate``."""
+    a functor law; ``actions`` maps every ordered pair of objects (d, e) to
+    F(g_{d,e}).  The rules run in the order of the first validator:
+    identities, then types and hom-group torsion pair by pair, then the
+    composition table on every triple."""
     from zpure.errors import InputError
     from zpure.finmod import ModuleMap
 
     objs = cat.objects
-    n = len(objs)
     covariant = variance == "covariant"
 
     def value(d):
         return values[objs.index(d)]
 
-    def action(d, e):
-        return actions[objs.index(d) * n + objs.index(e)]
-
     for d in objs:
-        if action(d, d) != ModuleMap.identity(value(d)):
+        if actions[d, d] != ModuleMap.identity(value(d)):
             raise InputError("functor does not send identity generators to identities")
     for d in objs:
         for e in objs:
-            act = action(d, e)
+            act = actions[d, e]
             if covariant:
                 ok = act.domain == value(d) and act.codomain == value(e)
             else:
@@ -581,11 +601,76 @@ def reference_validate_functor(cat, variance, values, actions):
             for f in objs:
                 c = reference_comp_coeff(d, e, f)
                 if covariant:
-                    lhs = action(e, f) @ action(d, e)
+                    lhs = actions[e, f] @ actions[d, e]
                 else:
-                    lhs = action(d, e) @ action(e, f)
-                if lhs != action(d, f).scale(c):
+                    lhs = actions[d, e] @ actions[e, f]
+                if lhs != actions[d, f].scale(c):
                     raise InputError("functor violates the composition table")
+
+
+def reference_action_table(cat, action_of):
+    """{(d, e): action_of(d, e)} for every ordered pair of objects, each
+    action built by its own construction, identities included."""
+    return {(d, e): action_of(d, e) for d in cat.objects for e in cat.objects}
+
+
+def reference_fp_actions(u, cat, variance="covariant"):
+    """Every action of the fp functor of u, each from ``_fp_action``."""
+    from zpure.funcat import _fp_action, fp_value
+
+    vals = {d: fp_value(u, cat.cyclic(d), variance) for d in cat.objects}
+
+    def action_of(d, e):
+        src, dst = (d, e) if variance == "covariant" else (e, d)
+        return _fp_action(vals[src], vals[dst], cat.gen_map(d, e), variance)
+
+    return reference_action_table(cat, action_of)
+
+
+def reference_restrict_actions(cat, c):
+    """Every action of Hom(-, c) on D, each from ``precompose``."""
+    from zpure.finmod import precompose
+
+    return reference_action_table(cat, lambda d, e: precompose(cat.gen_map(d, e), c))
+
+
+def reference_tensor_actions(cat, y):
+    """Every action of y (x) - on D, each from ``tensor_pair_map``."""
+    from zpure.finmod import ModuleMap, tensor_pair_map
+
+    id_y = ModuleMap.identity(y)
+    return reference_action_table(cat, lambda d, e: tensor_pair_map(id_y, cat.gen_map(d, e)))
+
+
+def reference_dual_actions(actions):
+    """Every action of the dual of a functor, each from ``dual_map``."""
+    from zpure.finmod import dual_map
+
+    return {pair: dual_map(act) for pair, act in actions.items()}
+
+
+def reference_compose_steps(cat, variance, values, steps):
+    """The action table that step actions generate: the identity at (d, d),
+    and elsewhere the composite of the steps' actions along the path down
+    from d to gcd(d, e) and up to e, the smallest prime first each way."""
+    from zpure.finmod import ModuleMap
+
+    objs = cat.objects
+    step = {(objs[i], objs[j]): act for (i, j), act in zip(cat.prime_steps, steps)}
+    table = {}
+    for d in objs:
+        for e in objs:
+            act = ModuleMap.identity(values[objs.index(d)])
+            g, cur = gcd(d, e), d
+            while cur != e:
+                down = e % cur  # cur lies above g, on the way down
+                gap = cur // g if down else e // cur
+                p = min(q for q in range(2, gap + 1) if gap % q == 0)
+                nxt = cur // p if down else cur * p
+                act = step[cur, nxt] @ act if variance == "covariant" else act @ step[cur, nxt]
+                cur = nxt
+            table[d, e] = act
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -1029,22 +1114,22 @@ def reference_fp_functor_from_map(u, cat, variance="covariant"):
 
 
 def reference_representable_cov(cat, a):
-    """The covariant representable D(a, -): d -> Hom(Z/a, Z/d), its action
-    read off the composition table.  The package builds it as the fp
-    functor of the zero map Z/a -> 0."""
+    """The covariant representable D(a, -): d -> Hom(Z/a, Z/d), its actions
+    the composition coefficients.  The package builds it as the fp functor
+    of the zero map Z/a -> 0."""
     from zpure.finmod import CanonicalModule, ModuleMap
     from zpure.funcat import functor_from_values
 
     cat.index_of(a)
 
     def value_of(d):
-        return CanonicalModule.cyclic(cat.modulus, cat.hom_order(a, d))
+        return CanonicalModule.cyclic(cat.modulus, gcd(a, d))
 
     def action_of(d, e):
         dom, cod = value_of(d), value_of(e)
         if dom.is_zero() or cod.is_zero():
             return ModuleMap.zero(dom, cod)
-        return ModuleMap.from_rows(dom, cod, [[cat.comp_coeff(a, d, e)]])
+        return ModuleMap.from_rows(dom, cod, [[reference_comp_coeff(a, d, e)]])
 
     return functor_from_values(cat, "covariant", value_of, action_of)
 
@@ -1139,12 +1224,10 @@ def reference_evaluation_map(module):
 def reference_dual_functor(F):
     from zpure.funcat import functor_from_values
 
-    objs = F.category.objects
-    n = len(objs)
     return functor_from_values(
         F.category, "contravariant" if F.is_covariant() else "covariant",
-        lambda d: reference_dual_module(F.values[objs.index(d)]),
-        lambda d, e: reference_dual_map(F.actions[objs.index(d) * n + objs.index(e)]))
+        lambda d: reference_dual_module(F.value(d)),
+        lambda d, e: reference_dual_map(F.action(d, e)))
 
 
 def reference_hom_tensor_duality_map(G, F):
@@ -1214,7 +1297,7 @@ def reference_coend_tensor(G, F):
             ge, fd = G.values[i_e], F.values[i_d]
             if ge.is_zero() or fd.is_zero():
                 continue
-            g_act, f_act = G.actions[i_d * n + i_e], F.actions[i_d * n + i_e]
+            g_act, f_act = G.action(objs[i_d], objs[i_e]), F.action(objs[i_d], objs[i_e])
             for x in range(ge.ngens):
                 gx = g_act.apply(ge.generator(x))
                 for y in range(fd.ngens):
@@ -1265,7 +1348,7 @@ def reference_nat_transformations(F, H):
         for i_e in range(n):
             if i_d == i_e:
                 continue
-            f_act, h_act = F.actions[i_d * n + i_e], H.actions[i_d * n + i_e]
+            f_act, h_act = F.action(objs[i_d], objs[i_e]), H.action(objs[i_d], objs[i_e])
             if cov:
                 dom_val, cod_val = F.values[i_d], H.values[i_e]
                 i_first, i_second = i_d, i_e

@@ -60,9 +60,13 @@ from oracles import (
     all_homs,
     reference_coend_evaluation_ambient,
     reference_coend_evaluation_map,
+    reference_check_associativity,
     reference_coend_tensor,
     reference_comp_coeff,
+    reference_compose_steps,
+    reference_dual_actions,
     reference_dual_functor,
+    reference_fp_actions,
     reference_fp_functor_from_map,
     reference_fp_induced,
     reference_gen_map,
@@ -72,7 +76,9 @@ from oracles import (
     reference_postcompose,
     reference_precompose,
     reference_representable_cov,
+    reference_restrict_actions,
     reference_restrict_module,
+    reference_tensor_actions,
     reference_tensor_functor,
     reference_validate_functor,
 )
@@ -95,14 +101,14 @@ def nat_family(nat, element):
 
 def test_index_category_basics():
     assert CAT4.objects == (1, 2, 4)
-    # |Hom(Z/2, Z/4)| = 2, against full enumeration
-    assert CAT4.hom_order(2, 4) == 2
-    assert len(all_homs((2,), (4,))) == 2
+    # Hom(Z/2, Z/4) is the 2 multiples of g_{2,4}, against full enumeration
+    multiples = {CAT4.gen_map(2, 4).scale(c).matrix.tolists()[0][0] for c in range(4)}
+    assert sorted(m[0][0] for m in all_homs((2,), (4,))) == sorted(multiples) == [0, 2]
     # zero object
-    assert CAT4.hom_order(1, 4) == 1
+    assert CAT4.gen_map(1, 4).is_zero_map()
     assert len(all_homs((), (4,))) == 1
     # composite g_{2,4} o g_{4,2} = 2 * g_{4,4}: evaluate 1 -> 1 -> 2
-    assert CAT4.comp_coeff(4, 2, 4) == 2
+    assert reference_comp_coeff(4, 2, 4) == 2
     g42 = CAT4.gen_map(4, 2)
     g24 = CAT4.gen_map(2, 4)
     comp = g24 @ g42
@@ -110,8 +116,13 @@ def test_index_category_basics():
 
 
 def test_index_category_associativity_all_small():
-    for n in (1, 2, 4, 6, 8, 9, 12):
-        build_index_category(n)
+    for n in range(1, 61):
+        reference_check_associativity(build_index_category(n).objects)
+
+
+@pytest.mark.parametrize("n", (360, 720, 2520))
+def test_index_category_associativity_large(n):
+    reference_check_associativity(build_index_category(n).objects)
 
 
 def test_representable_and_restriction():
@@ -141,16 +152,16 @@ def test_representable_is_the_fp_functor_of_the_zero_map(modulus):
 
 
 def test_functor_validation_catches_bad_action():
-    # D(4,-) has action(2,4) = [[2]]; zeroing it contradicts the composite
-    # g_{4,4} scaled by comp_coeff(4,2,4) = 2, so validation must fail.
+    # D(4,-) has the step action(2,4) = [[2]]; zeroing it breaks the round
+    # trip g_{2,4} o g_{4,2} = 2 * g_{4,4}, so validation must fail.
     rep = representable(CAT4, 4)
-    idx = CAT4.index_of(2) * 3 + CAT4.index_of(4)
-    act = rep.actions[idx]
-    assert not act.is_zero_map()
-    bad_actions = list(rep.actions)
-    bad_actions[idx] = ModuleMap.zero(act.domain, act.codomain)
-    with pytest.raises(InputError):
-        FunctorOnD(CAT4, COVARIANT, rep.values, tuple(bad_actions))
+    k = CAT4.prime_steps.index((CAT4.index_of(2), CAT4.index_of(4)))
+    act = rep.steps[k]
+    assert act == rep.action(2, 4) and not act.is_zero_map()
+    bad_steps = list(rep.steps)
+    bad_steps[k] = ModuleMap.zero(act.domain, act.codomain)
+    with pytest.raises(InputError, match="composition table"):
+        FunctorOnD(CAT4, COVARIANT, rep.values, tuple(bad_steps))
 
 
 def test_pre_post_compose():
@@ -487,28 +498,65 @@ def test_index_category_built_once_per_modulus():
 
 
 def test_comp_coeff_table_matches_formula():
+    """The coefficient formula against the composite of two explicit maps:
+    g_{e,f} o g_{d,e} == c * g_{d,f}, and g_{d,f} has order gcd(d, f)."""
     for n in range(1, 61):
         cat = build_index_category(n)
         for d in cat.objects:
             for e in cat.objects:
                 for f in cat.objects:
-                    assert cat.comp_coeff(d, e, f) == reference_comp_coeff(d, e, f), (n, d, e, f)
+                    composite = cat.gen_map(e, f) @ cat.gen_map(d, e)
+                    c = reference_comp_coeff(d, e, f)
+                    assert composite == cat.gen_map(d, f).scale(c), (n, d, e, f)
 
 
 def sample_functors(cat, rng):
-    """Random, contravariant, representable, restricted, tensor and dual
-    functors on cat, in rotation."""
-    kinds = [
-        lambda: random_functor(cat, rng),
-        lambda: random_contra_functor(cat, rng),
-        lambda: representable(cat, rng.choice(cat.objects)),
-        lambda: restrict_module(cat, random_module(cat.modulus, rng, 2)),
-        lambda: tensor_functor(cat, random_module(cat.modulus, rng, 2)),
-        lambda: dual_functor(random_functor(cat, rng)),
-    ]
+    """Covariant and contravariant fp, representable, restricted, tensor and
+    dual functors on cat, in rotation, each with a thunk for its table of
+    every action built pair by pair."""
+    n = cat.modulus
+
+    def fp(variance=COVARIANT):
+        b, a = random_module(n, rng, 2), random_module(n, rng, 2)
+        u = random_hom(b, a, rng)
+        return fp_functor_from_map(u, cat, variance), lambda: reference_fp_actions(u, cat, variance)
+
+    def restricted():
+        c = random_module(n, rng, 2)
+        return restrict_module(cat, c), lambda: reference_restrict_actions(cat, c)
+
+    def dual():
+        F, table = fp()
+        return dual_functor(F), lambda: reference_dual_actions(table())
+
+    def contra():  # the draws of random_contra_functor
+        return (restricted, dual, lambda: fp(CONTRAVARIANT))[rng.randrange(3)]()
+
+    def represented():
+        a = rng.choice(cat.objects)
+        u = ModuleMap.zero(cat.cyclic(a), CanonicalModule.zero(n))
+        return representable(cat, a), lambda: reference_fp_actions(u, cat)
+
+    def tensored():
+        y = random_module(n, rng, 2)
+        return tensor_functor(cat, y), lambda: reference_tensor_actions(cat, y)
+
     while True:
-        for kind in kinds:
+        for kind in (fp, contra, represented, restricted, tensored, dual):
             yield kind()
+
+
+@pytest.mark.parametrize("n", (6, 8, 12, 24, 30, 36, 60, 72, 210))
+def test_actions_match_the_all_pairs_construction(n):
+    """Actions composed along the prime steps against every action built by
+    its own construction, identities included."""
+    cat = build_index_category(n)
+    gen = sample_functors(cat, random.Random(f"all-pairs:{n}"))
+    for i in range(12):
+        F, table = next(gen)
+        for (d, e), act in table().items():
+            assert F.action(d, e) == act, (n, i, d, e)
+            assert F.action(d, e) is F.action(d, e)
 
 
 def validation_outcome(validate, cat, variance, values, actions):
@@ -519,8 +567,16 @@ def validation_outcome(validate, cat, variance, values, actions):
     return None
 
 
-def table_validate(cat, variance, values, actions):
-    FunctorOnD(cat, variance, values, actions)
+def step_validate(cat, variance, values, steps):
+    FunctorOnD(cat, variance, values, steps)
+
+
+def with_actions(cat, table, changes):
+    """(steps, table): an all-pairs table with the actions at some pairs
+    replaced, and the actions it holds at the prime steps."""
+    table = {**table, **changes}
+    objs = cat.objects
+    return tuple(table[objs[i], objs[j]] for i, j in cat.prime_steps), table
 
 
 def test_table_validator_accepts_what_the_reference_accepts():
@@ -529,73 +585,96 @@ def test_table_validator_accepts_what_the_reference_accepts():
         cat = build_index_category(n)
         gen = sample_functors(cat, random.Random(f"validate:{n}"))
         for _ in range(k):
-            F = next(gen)
-            data = (cat, F.variance, F.values, F.actions)
-            assert validation_outcome(reference_validate_functor, *data) is None
-            assert validation_outcome(table_validate, *data) is None
+            F, table = next(gen)
+            data = (cat, F.variance, F.values)
+            assert validation_outcome(reference_validate_functor, *data, table()) is None
+            assert validation_outcome(step_validate, *data, F.steps) is None
             count += 1
     assert count >= 200
 
 
 def test_table_validator_rejects_like_the_reference():
+    """Every message of the step validator, on step actions, against the
+    reference on the all-pairs table with the same actions changed.  An
+    identity that is not one cannot be written: identities are not stored."""
     z2, z4, zero = Z(4, 2), Z(4, 4), Z(4)
     rep = representable(CAT4, 4)  # values 0, Z/2, Z/4
-    i2, i4 = CAT4.index_of(2), CAT4.index_of(4)
-    not_identity = list(rep.actions)
-    not_identity[i4 * 3 + i4] = ModuleMap.from_rows(z4, z4, [[3]])
-    wrong_type = list(rep.actions)
-    wrong_type[i2 * 3 + i4] = ModuleMap.zero(z4, z4)
-    not_composing = list(rep.actions)
-    not_composing[i2 * 3 + i4] = ModuleMap.zero(z2, z4)
-    # Z/4 at the object 2 with identity actions: 2 does not kill it
+    table = reference_fp_actions(ModuleMap.zero(z4, zero), CAT4)
+    wrong_type = with_actions(CAT4, table, {(2, 4): ModuleMap.zero(z4, z4)})
+    not_composing = with_actions(CAT4, table, {(2, 4): ModuleMap.zero(z2, z4)})
+    # Z/4 at the object 2 with identity and zero actions: 2 does not kill it
     big = (zero, z4, z4)
-    torsion = [ModuleMap.identity(big[i]) if i == j else ModuleMap.zero(big[i], big[j])
-               for i in range(3) for j in range(3)]
+    torsion = with_actions(CAT4, {
+        (d, e): ModuleMap.identity(big[i]) if i == j else ModuleMap.zero(big[i], big[j])
+        for i, d in enumerate(CAT4.objects) for j, e in enumerate(CAT4.objects)}, {})
     # D(6, -) with 0 at the object 3: g_{3,6} o g_{6,3} = 2 * id_6 now
     # factors through 0, but 2 does not kill F(6) = Z/6
     cat6 = build_index_category(6)
     rep6 = representable(cat6, 6)
-    i3 = cat6.index_of(3)
-    vals6 = tuple(Z(6) if i == i3 else v for i, v in enumerate(rep6.values))
-    acts6 = tuple(ModuleMap.zero(vals6[i], vals6[j]) if i3 in (i, j) else rep6.actions[i * 4 + j]
-                  for i in range(4) for j in range(4))
+    table6 = reference_fp_actions(ModuleMap.zero(Z(6, 6), Z(6)), cat6)
+    vals6 = tuple(Z(6) if d == 3 else v for d, v in zip(cat6.objects, rep6.values))
+    zeroed6 = with_actions(cat6, table6, {
+        (d, e): ModuleMap.zero(vals6[i], vals6[j]) for i, d in enumerate(cat6.objects)
+        for j, e in enumerate(cat6.objects) if 3 in (d, e)})
+    # D(24, -) with both steps between 12 and 24 negated: their round trips
+    # still hold, but g_{8,12} is no longer the same along 8, 4, 12 and
+    # along 8, 24, 12 (only a square catches this)
+    cat24 = build_index_category(24)
+    rep24 = representable(cat24, 24)
+    table24 = reference_fp_actions(ModuleMap.zero(Z(24, 24), Z(24)), cat24)
+    twisted = with_actions(cat24, table24, {pair: table24[pair].scale(-1)
+                                            for pair in ((12, 24), (24, 12))})
+    composition = "functor violates the composition table"
     cases = [
-        (COVARIANT, rep.values, not_identity,
-         "functor does not send identity generators to identities"),
-        (COVARIANT, rep.values, wrong_type, "action has the wrong type for the variance"),
-        (CONTRAVARIANT, rep.values, rep.actions, "action has the wrong type for the variance"),
-        (COVARIANT, big, torsion, "action violates hom-group torsion"),
-        (COVARIANT, rep.values, not_composing, "functor violates the composition table"),
+        (CAT4, COVARIANT, rep.values, wrong_type, "action has the wrong type for the variance"),
+        (CAT4, CONTRAVARIANT, rep.values, (rep.steps, table),
+         "action has the wrong type for the variance"),
+        (CAT4, COVARIANT, big, torsion, "action violates hom-group torsion"),
+        (CAT4, COVARIANT, rep.values, not_composing, composition),
+        (cat6, COVARIANT, vals6, zeroed6, composition),
+        (cat24, COVARIANT, rep24.values, twisted, composition),
     ]
-    cases = [(CAT4,) + case for case in cases]
-    cases.append((cat6, COVARIANT, vals6, acts6, "functor violates the composition table"))
-    for cat, variance, values, actions, message in cases:
-        data = (cat, variance, tuple(values), tuple(actions))
-        assert validation_outcome(reference_validate_functor, *data) == message
-        assert validation_outcome(table_validate, *data) == message
+    assert rep.steps == with_actions(CAT4, table, {})[0]
+    for cat, variance, values, (steps, actions), message in cases:
+        assert validation_outcome(reference_validate_functor, cat, variance, values,
+                                  actions) == message
+        assert validation_outcome(step_validate, cat, variance, values, steps) == message
 
 
 def test_table_validator_agrees_on_random_mutations():
+    """The step validator against the reference on the table that the
+    steps generate, after a random_hom or scale mutation of one step, or
+    with one value zeroed together with the steps at it."""
     rng = random.Random("mutate")
-    outcomes = set()
-    for n in (6, 8, 12):
+    outcomes = []
+    for n, k in ((6, 30), (8, 30), (12, 30), (24, 30), (30, 30), (36, 30),
+                 (60, 8), (72, 8), (210, 8)):
         cat = build_index_category(n)
-        nobj = len(cat.objects)
         gen = sample_functors(cat, rng)
-        for _ in range(24):
-            F = next(gen)
-            actions = list(F.actions)
-            idx = rng.randrange(len(actions))
-            act = actions[idx]
-            if rng.random() < 0.5 or idx % (nobj + 1) == 0:
-                actions[idx] = random_hom(act.domain, act.codomain, rng)
+        for _ in range(k):
+            F, _ = next(gen)
+            cov = F.is_covariant()
+            values, steps = list(F.values), list(F.steps)
+            draw = rng.random()
+            if draw < 0.2:
+                i = rng.randrange(1, len(values))
+                values[i] = CanonicalModule.zero(n)
+                for k, (a, b) in enumerate(cat.prime_steps):
+                    if i in (a, b):
+                        steps[k] = ModuleMap.zero(values[a if cov else b], values[b if cov else a])
             else:
-                actions[idx] = act.scale(rng.randrange(2, n))
-            data = (cat, F.variance, F.values, tuple(actions))
-            expected = validation_outcome(reference_validate_functor, *data)
-            assert validation_outcome(table_validate, *data) == expected
-            outcomes.add(expected)
-    assert len(outcomes) >= 3  # accepted, identity and composition failures
+                k = rng.randrange(len(steps))
+                act = steps[k]
+                steps[k] = random_hom(act.domain, act.codomain, rng) if draw < 0.6 else \
+                    act.scale(rng.randrange(2, n))
+            data = (cat, F.variance, tuple(values))
+            table = reference_compose_steps(cat, F.variance, values, steps)
+            expected = validation_outcome(reference_validate_functor, *data, table)
+            assert validation_outcome(step_validate, *data, tuple(steps)) == expected
+            outcomes.append(expected)
+    # mutations keep types and torsion, so only the composition can fail
+    assert set(outcomes) == {None, "functor violates the composition table"}
+    assert outcomes.count(None) >= 20 and outcomes.count(None) <= len(outcomes) - 20
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
@@ -847,7 +926,10 @@ def test_prime_steps_generate_the_index_category(n):
     """The prime steps are the directed Hasse edges of the divisor lattice,
     and every g_{d,f} is the composite of the steps along d -> gcd(d, f) -> f
     with coefficient 1, so relations and naturality along the steps imply
-    them along every canonical generator."""
+    them along every canonical generator.  Their relations hold in D: each
+    round trip through a neighbour is p times the identity, and the two
+    paths between opposite corners of each square are both g_{x,y}, one
+    square relation per ordered pair of opposite corners."""
     cat = IndexCategoryD(n, tuple(divisors(n)))
     objs = cat.objects
     primes = [p for p in objs if _is_prime(p)]
@@ -869,5 +951,30 @@ def test_prime_steps_generate_the_index_category(n):
             coeff = 1
             for cur, nxt in zip(path, path[1:]):
                 assert (cat.index_of(cur), cat.index_of(nxt)) in steps, (n, cur, nxt)
-                coeff = coeff * cat.comp_coeff(d, cur, nxt) % gcd(d, nxt)
+                coeff = coeff * reference_comp_coeff(d, cur, nxt) % gcd(d, nxt)
             assert (coeff - 1) % g == 0, (n, d, f, path, coeff)
+
+    def coefficient(k1, k2):
+        """c with the step k2 after the step k1 equal to c * g_{start,end}."""
+        (i, j), (_, l) = pairs[k1], pairs[k2]
+        return reference_comp_coeff(objs[i], objs[j], objs[l])
+
+    pairs = cat.prime_steps
+    assert len(cat.round_trips) == len(pairs)
+    for i, k, k_back, p in cat.round_trips:
+        (a, b), back = pairs[k], pairs[k_back]
+        assert a == i and back == (b, a), (n, k)
+        assert p == max(objs[a], objs[b]) // min(objs[a], objs[b])
+        assert (coefficient(k, k_back) - p) % objs[i] == 0, (n, k)
+    corners = set()
+    for x, y, k1, k2, k3, k4 in cat.squares:
+        assert pairs[k1][0] == pairs[k3][0] == x and pairs[k2][1] == pairs[k4][1] == y
+        assert pairs[k1][1] == pairs[k2][0] != pairs[k3][1] == pairs[k4][0]
+        g = gcd(objs[x], objs[y])
+        assert (coefficient(k1, k2) - 1) % g == 0 and (coefficient(k3, k4) - 1) % g == 0
+        corners.add((x, y))
+    squares = [(d, p, q) for d in objs for p in primes for q in primes
+               if p < q and n % (d * p * q) == 0]
+    assert len(corners) == len(cat.squares) == 4 * len(squares)
+    if n == 24:
+        assert (len(cat.round_trips), len(cat.squares)) == (20, 12)
