@@ -639,6 +639,35 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def prime_powers(n: int) -> list[int]:
+    """The Omega(n) prime powers p^j > 1 dividing n, in ascending order."""
+    powers, p = [], 2
+    while p * p <= n:
+        q = p
+        while n % p == 0:
+            n //= p
+            powers.append(q)
+            q *= p
+        p += 1
+    if n > 1:
+        powers.append(n)
+    return sorted(powers)
+
+
+def divisor_chains(n: int, depth: int) -> Iterator[list[tuple[int, ...]]]:
+    """The chains d_1 | ... | d_k of divisors >= 2 of n, one lexicographic
+    list per length k = 0, 1, ..., depth, each built when asked for; the
+    lengths stop at the first one with no chain (n = 1 has only ())."""
+    divs = [d for d in divisors(n) if d >= 2]
+    level: list[tuple[int, ...]] = [()]
+    yield level
+    for _ in range(depth):
+        level = [c + (d,) for c in level for d in divs if not c or d % c[-1] == 0]
+        if not level:
+            return
+        yield level
+
+
 def random_module(modulus: int, rng: random.Random, max_gens: int = 3) -> CanonicalModule:
     divs = [d for d in divisors(modulus) if d >= 2]
     if not divs:

@@ -54,6 +54,7 @@ from .finmod import (
     normalize_presentation,
     postcompose,
     precompose,
+    prime_powers,
     quotient_by_subgroup,
     random_hom,
     random_module,
@@ -92,12 +93,9 @@ class IndexCategoryD:
         index = {d: i for i, d in enumerate(objs)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_gen_maps", {})
-        # The primes are the objects above 1 that no smaller prime divides;
-        # every prime factor of an object is itself a smaller object.
-        primes: list[int] = []
-        for p in objs[1:]:
-            if all(p % q for q in primes):
-                primes.append(p)
+        # the primes: the prime powers of the modulus that no smaller one divides
+        powers = prime_powers(self.modulus)
+        primes = [p for p in powers if all(p % q for q in powers if q < p)]
         steps = set()
         for d in objs:
             for p in primes:

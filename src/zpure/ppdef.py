@@ -11,8 +11,8 @@ x_j at invariant t sits at index j * ngens(M) + t.
 
 The bounded catalog (``enumerate_pp``) needs no evaluation: its candidate
 row spans come from Hermite keys, and two formulas are identified when the
-Hermite forms of their relation lattices over each Z/d, d | N, agree on the
-free coordinates, which is exactly when they define the same subgroup of
+Hermite forms of their relation lattices over each Z/p^j, p^j | N, agree on
+the free coordinates, which is exactly when they define the same subgroup of
 every Z/N-module.
 """
 
@@ -30,6 +30,7 @@ from .finmod import (
     Subgroup,
     divisors,
     normalize_presentation,
+    prime_powers,
 )
 from .zmodlin import IntMatrix, Vec, hermite_extend, hermite_key, kernel_mod
 
@@ -109,7 +110,6 @@ def _cyclic_solutions(formula: PpFormula, d: int) -> tuple[Vec, ...]:
     return tuple(sol for sol in sols if any(sol))
 
 
-@lru_cache(maxsize=32768)
 def eval_pp(formula: PpFormula, module: CanonicalModule) -> Subgroup:
     """The subgroup {x in M^k : exists y, A*x + B*y = 0} by generators.
 
@@ -203,15 +203,13 @@ def _formula_signature(formula: PpFormula, modulus: int) -> tuple:
     on the bound coordinates.  The annihilator pairing on (Z/d)^k is perfect,
     so phi(Z/d) determines R_x and is determined by it.  The Hermite rows of
     R whose pivots are free coordinates span R_x and are its Hermite form.
+    Z/d is the sum of the Z/p^j, p^j exactly dividing d, and pp formulas
+    commute with direct sums, so signing at the prime powers p^j | N suffices.
     """
     k, m = formula.free_count, formula.bound_count
     rows = [b + a for a, b in zip(formula.a.entries, formula.b.entries)]
-    sig = []
-    for d in divisors(modulus):
-        if d >= 2:
-            key = hermite_key(rows, (d,) * (m + k))
-            sig.append(tuple(r[m:] for r in key[m:]))
-    return tuple(sig)
+    keys = (hermite_key(rows, (q,) * (m + k)) for q in prime_powers(modulus))
+    return tuple(tuple(r[m:] for r in key[m:]) for key in keys)
 
 
 def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
@@ -263,16 +261,6 @@ def _candidate_formulas(modulus: int, free_vars: int, max_bound: int, max_rows: 
             yield PpFormula(free_vars, m, a, b)
 
 
-def _prime_factor_count(n: int) -> int:
-    """Omega(n): the prime factors of n counted with multiplicity."""
-    count = 0
-    for p in divisors(n)[1:]:  # ascending: one still dividing n is prime
-        while n % p == 0:
-            n //= p
-            count += 1
-    return count
-
-
 @lru_cache(maxsize=16)
 def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
                  max_rows: int = 2) -> tuple[PpFormula, ...]:
@@ -283,28 +271,29 @@ def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
     for every divisor d of the modulus, then appends every further formula
     reachable within the bounds.  Two formulas count as equal when they
     define the same subgroup of (Z/d)^free_vars for every divisor d >= 2 of
-    the modulus, compared by Hermite forms (see ``_formula_signature``); the
-    first representative in enumeration order is kept.  Since pp formulas
-    commute with direct sums, they then agree on every Z/modulus-module.
+    the modulus, compared by Hermite forms at the prime powers p^j | N (see
+    ``_formula_signature``); the first representative in enumeration order
+    is kept.  Since pp formulas commute with direct sums, they then agree on
+    every Z/modulus-module.
 
-    With one free variable there are at most 2^Omega(N) classes, Omega(N)
-    the number of prime factors of N = modulus counted with multiplicity,
-    and the scan stops once it has kept that many.  Proof: phi(Z/d) is a
-    subgroup of the cyclic group Z/d, so its order fixes it, and by CRT
-    Z/d is the sum of its primary parts Z/p^j, which phi respects.  So the
-    class of phi is fixed by the sequences s_j = log_p |phi(Z/p^j)|,
-    0 <= j <= k, for each prime power p^k exactly dividing N, with s_0 = 0.
-    Homomorphisms carry phi(M) into phi(M').  The inclusion
-    Z/p^j -> Z/p^(j+1) is injective, so s_j <= s_(j+1); the projection
-    Z/p^(j+1) -> Z/p^j has a kernel of order p, so s_(j+1) <= s_j + 1.
-    Each step of s is 0 or 1, which leaves 2^k sequences per prime and
-    2^Omega(N) classes in all.  Every later candidate would be a dropped
-    duplicate, so the catalog is the one the full scan builds.  With more
-    free variables there is no such bound and the scan runs to the end.
+    With one free variable there are at most 2^Omega(N) classes, Omega(N) the
+    number of prime factors of N = modulus counted with multiplicity (one per
+    member of ``prime_powers(N)``), and the scan stops once it has kept that
+    many.  Proof: phi(Z/d) is a subgroup of the cyclic group Z/d, so its order
+    fixes it, and by CRT Z/d is the sum of its primary parts Z/p^j, which phi
+    respects.  So the class of phi is fixed by the sequences
+    s_j = log_p |phi(Z/p^j)|, 0 <= j <= k, for each prime power p^k exactly
+    dividing N, with s_0 = 0.  Homomorphisms carry phi(M) into phi(M').  The
+    inclusion Z/p^j -> Z/p^(j+1) is injective, so s_j <= s_(j+1); the
+    projection Z/p^(j+1) -> Z/p^j has a kernel of order p, so
+    s_(j+1) <= s_j + 1.  Each step of s is 0 or 1, which leaves 2^k sequences
+    per prime and 2^Omega(N) classes in all.  Every later candidate would be a
+    dropped duplicate, so the catalog is the one the full scan builds.  With
+    more free variables there is no such bound and the scan runs to the end.
     """
     if free_vars < 1 or max_bound < 0 or max_rows < 0:
         raise InputError("catalog bounds out of range")
-    cap = 2 ** _prime_factor_count(modulus) if free_vars == 1 else None
+    cap = 2 ** len(prime_powers(modulus)) if free_vars == 1 else None
     catalog: list[PpFormula] = []
     seen_sigs = set()
     for formula in _candidate_formulas(modulus, free_vars, max_bound, max_rows):

@@ -34,7 +34,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .errors import InternalCheckError, InputError
@@ -43,9 +43,10 @@ from .finmod import (
     ModuleMap,
     ShortSequence,
     Subgroup,
-    divisors,
+    divisor_chains,
     dual_map,
     hom_module,
+    prime_powers,
     random_ses,
     splitting_section,
     tensor_map,
@@ -63,6 +64,7 @@ from .zmodlin import (
     hermite_extend,
     hermite_key,
     hermite_reduce,
+    key_order,
     smith_reduce,
 )
 
@@ -117,11 +119,13 @@ def check_hom_lifting(seq: ShortSequence):
     Hom(Z/d, X) is the d-torsion of X, so the condition is that g carries the
     d-torsion of the middle onto the d-torsion of the right term.  A failure
     witness is a d-torsion element of the right term outside the image,
-    i.e. a homomorphism Z/d -> right with no lift.
+    i.e. a homomorphism Z/d -> right with no lift.  Only the prime powers
+    p^j | N are tried, in ascending order: the d-torsion is the sum of the
+    p^j-torsion, p^j exactly dividing d, and g respects that sum, so d fails
+    exactly when such a p^j <= d fails.  The first failing divisor is thus a
+    prime power, and the verdict, d and target are those of every divisor.
     """
-    for d in divisors(seq.modulus):
-        if d == 1:
-            continue
+    for d in prime_powers(seq.modulus):
         tor_m = _torsion_subgroup(seq.middle, d)
         tor_n = _torsion_subgroup(seq.right, d)
         pushed = Subgroup(seq.right.invariants, seq.modulus,
@@ -184,13 +188,14 @@ def check_pp_pairs(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
 
 
 def check_tensor(seq: ShortSequence):
-    """Tensoring with Y must keep the left map injective; cyclic Y suffice."""
-    for d in divisors(seq.modulus):
-        if d == 1:
-            continue
-        y = CanonicalModule.cyclic(seq.modulus, d)
-        induced = tensor_map(y, seq.f)
-        if not induced.is_injective():
+    """Tensoring with Y must keep the left map injective; cyclic Y suffice.
+
+    Only Y = Z/p^j, p^j | N, are tried, in ascending order: Z/d (x) f is the
+    sum of the Z/p^j (x) f, p^j exactly dividing d, so as in
+    ``check_hom_lifting`` the first failing divisor d is a prime power.
+    """
+    for d in prime_powers(seq.modulus):
+        if not tensor_map(CanonicalModule.cyclic(seq.modulus, d), seq.f).is_injective():
             return False, {"kind": "tensor", "cyclic": d}
     return True, None
 
@@ -255,11 +260,6 @@ def _inside(vectors, key) -> bool:
     return not any(any(hermite_reduce(v, key)) for v in vectors)
 
 
-def _index(key: Sequence[Vec]) -> int:
-    """The index in prod Z/o_i of the subgroup with Hermite key ``key``."""
-    return prod(row[i] for i, row in enumerate(key))
-
-
 def _relation_images(push, term: InducedTerm) -> list[Vec]:
     """Images of the rows of R(X)'s key; a row with pivot o_i is o_i*e_i
     plus later rows, and o_i*e_i maps to zero, so it is skipped."""
@@ -273,8 +273,8 @@ class InducedMaps:
     ``exact`` decides whether F(L) -> F(M) -> F(N) is exact.  It builds the
     blockwise push tables once per block count.  Entries of one ``group``
     must share the generators and the carriers of their three terms (fp
-    terms of one domain b, pp terms of one phi); their pushed generators,
-    the carrier checks and |G(N)| are computed at the group's first entry.
+    terms of one domain b, pp terms of one phi); their pushed generators
+    and the carrier checks are computed at the group's first entry.
     """
 
     def __init__(self, f: ModuleMap, g: ModuleMap):
@@ -293,7 +293,7 @@ class InducedMaps:
         g_gens = [push_g(v) for v in middle.gens]
         if not (_inside(f_gens, middle.carrier) and _inside(g_gens, right.carrier)):
             raise InternalCheckError("induced map is ill-defined")
-        return push_f, push_g, f_gens, g_gens, [push_g(v) for v in f_gens], _index(right.carrier)
+        return push_f, push_g, f_gens, g_gens, [push_g(v) for v in f_gens]
 
     def exact(self, left: InducedTerm, middle: InducedTerm, right: InducedTerm,
               blocks: int, group) -> bool:
@@ -302,27 +302,26 @@ class InducedMaps:
         The checks of ``finmod.exactness_failure`` on the induced maps, read
         off subgroup orders in raw coordinates, with no quotient module
         built: g(f(G(L))) <= R(N), |F(M)| = |F(L)| |F(N)|,
-        |f(G(L)) + R(M)| = |F(L)| |R(M)| (injective) and
-        |g(G(M)) + R(N)| = |G(N)| (surjective).  A map that does not carry G
-        into G and R into R is a defect.
+        |f(G(L)) + R(M)| = |F(L)| |R(M)| (injective) and g(G(M)) + R(N) = G(N)
+        (surjective; equal Hermite keys).  A map that does not carry G into G
+        and R into R is a defect.
         """
         data = self._groups.get(group)
         if data is None:
             data = self._groups[group] = self._group(left, middle, right, blocks)
-        push_f, push_g, f_gens, g_gens, gf_gens, carrier_index = data
+        push_f, push_g, f_gens, g_gens, gf_gens = data
         if not (_inside(_relation_images(push_f, left), middle.relations)
                 and _inside(_relation_images(push_g, middle), right.relations)):
             raise InternalCheckError("induced map is ill-defined")
         if not _inside(gf_gens, right.relations) or middle.order != left.order * right.order:
             return False
-        # orders as indices in the ambient: |A| = |ambient| / _index(key of A)
-        if (_index(middle.relations)
-                != left.order * _index(hermite_extend(middle.relations, f_gens, middle.orders))):
+        orders = middle.orders
+        image = hermite_extend(middle.relations, f_gens, orders)
+        if key_order(image, orders) != left.order * key_order(middle.relations, orders):
             return False
-        return _index(hermite_extend(right.relations, g_gens, right.orders)) == carrier_index
+        return hermite_extend(right.relations, g_gens, right.orders) == right.carrier
 
 
-@lru_cache(maxsize=16384)
 def fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
     """F_u(X) = coker(Hom(a, X) -> Hom(b, X)) for u: b -> a, with Hom(b, X)
     inside the X x b matrices, block j holding column j, the image of the
@@ -349,7 +348,7 @@ def fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
                 vec[j * n + k] = c * v
             rels.append(vec)
     relations = hermite_key(rels, orders)
-    order = prod(r[i] for i, r in enumerate(relations)) // prod(steps)
+    order = key_order(carrier, orders) // key_order(relations, orders)
     return InducedTerm(orders, gens, carrier, relations, order)
 
 
@@ -358,19 +357,8 @@ def fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
 
 
 def _modules_with_bounded_gens(modulus: int, depth: int) -> list[CanonicalModule]:
-    chains: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    divs = [d for d in divisors(modulus) if d >= 2]
-    for _ in range(depth):
-        nxt = []
-        for chain in frontier:
-            lower = chain[-1] if chain else None
-            for d in divs:
-                if lower is None or d % lower == 0:
-                    nxt.append(chain + (d,))
-        chains.extend(nxt)
-        frontier = nxt
-    return [CanonicalModule(modulus, c) for c in chains]
+    return [CanonicalModule(modulus, c)
+            for chains in divisor_chains(modulus, depth) for c in chains]
 
 
 def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
@@ -396,13 +384,6 @@ def fp_invariants(u: ModuleMap, d: int) -> tuple[int, ...]:
     return tuple(s for s in (gcd(rows[j][j], d) for j in range(len(h))) if s != 1)
 
 
-def _is_prime_power(d: int) -> bool:
-    p = divisors(d)[1]  # the least prime factor of d >= 2
-    while d % p == 0:
-        d //= p
-    return d == 1
-
-
 # fp_catalog signs every pair (b, a) of modules with at most ``depth``
 # generators.  N=360 at depth 2 has 32,400 pairs and builds in about 20 s on
 # a 2-core machine; counts over this budget are refused before any build.
@@ -411,15 +392,12 @@ MAX_FP_PAIRS = 40_000
 
 def fp_catalog_pairs(modulus: int, depth: int) -> int:
     """len(_modules_with_bounded_gens(modulus, depth)) ** 2, counted without
-    building a module: chains ending at e extend those ending at each d | e.
-    Counting stops at the first chain length whose total passes the budget,
-    so a count over MAX_FP_PAIRS is a lower bound."""
-    divs = [d for d in divisors(modulus) if d >= 2]
-    total, ends = 1, [1] * len(divs)
-    for level in range(depth if divs else 0):
-        if level:
-            ends = [sum(c for c, d in zip(ends, divs) if e % d == 0) for e in divs]
-        total += sum(ends)
+    building a module, one chain length at a time.  Counting stops at the
+    first length whose total passes the budget, so a count over
+    MAX_FP_PAIRS is a lower bound."""
+    total = 0
+    for chains in divisor_chains(modulus, depth):
+        total += len(chains)
         if total * total > MAX_FP_PAIRS:
             break
     return total * total
@@ -436,7 +414,7 @@ def check_fp_budget(modulus: int, depth: int) -> None:
 def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
     """Deterministic catalog of presentation maps u: b -> a, deduplicated by
     the invariants of the induced functor on the cyclic test modules Z/p^j,
-    p^j a prime power dividing the modulus (``fp_invariants``).
+    p^j in ``prime_powers(modulus)`` (``fp_invariants``).
 
     F_u is additive and Z/d is the sum of its primary parts Z/p^j, so
     F_u(Z/d) is the sum of the F_u(Z/p^j): the prime powers fix the
@@ -444,7 +422,7 @@ def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
     of deduplicating on all divisors, member for member.
     """
     check_fp_budget(modulus, depth)
-    divs = [d for d in divisors(modulus) if d > 1 and _is_prime_power(d)]
+    powers = prime_powers(modulus)
     mods = _modules_with_bounded_gens(modulus, depth)
     catalog: list[ModuleMap] = []
     seen = set()
@@ -457,7 +435,7 @@ def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
             if h.module.ngens > 1:
                 candidates.append(h.to_map(tuple(1 for _ in range(h.module.ngens))))
             for u in candidates:
-                sig = tuple(fp_invariants(u, d) for d in divs)
+                sig = tuple(fp_invariants(u, q) for q in powers)
                 if sig not in seen:
                     seen.add(sig)
                     catalog.append(u)

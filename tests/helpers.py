@@ -1,6 +1,7 @@
 """Constructions that only the tests use, built on the public zpure API."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from zpure.errors import InputError, InternalCheckError
@@ -201,10 +202,17 @@ def coend_map_right(G: FunctorOnD, F1: FunctorOnD, F2: FunctorOnD,
 # per-module tables and share work between entries.
 
 
+@lru_cache(maxsize=16384)
+def cached_fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
+    """``fp_term`` kept per (u, X): the tests read the same entries on the
+    same modules across many sequences."""
+    return fp_term(u, module)
+
+
 def fp_functor_exact(u: ModuleMap, seq: ShortSequence) -> bool:
     """Whether F_u(L) -> F_u(M) -> F_u(N) is exact, F_u = coker(Hom(a, -) ->
     Hom(b, -)) for u: b -> a."""
-    terms = [fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
+    terms = [cached_fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
     return InducedMaps(seq.f, seq.g).exact(*terms, blocks=u.domain.ngens, group=None)
 
 

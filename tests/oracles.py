@@ -256,11 +256,33 @@ def dedup_test_modules(modulus):
     return mods
 
 
-def reference_signature(formula, test_modules):
-    """Hermite keys of the formula's evaluations on the test modules."""
+@lru_cache(maxsize=32768)
+def cached_eval_pp(formula, module):
+    """``zpure.ppdef.eval_pp``, kept per (formula, module).  The pp oracles
+    evaluate the same formulas on the same modules across many tests; the
+    library keeps its evaluations in ``zpure.purity.ModuleTerms`` instead."""
     from zpure.ppdef import eval_pp
 
-    return tuple(eval_pp(formula, m).key for m in test_modules)
+    return eval_pp(formula, module)
+
+
+def reference_signature(formula, test_modules):
+    """Hermite keys of the formula's evaluations on the test modules."""
+    return tuple(cached_eval_pp(formula, m).key for m in test_modules)
+
+
+def reference_formula_signature(formula, modulus):
+    """``zpure.ppdef._formula_signature`` as it signed at every divisor
+    d >= 2 of the modulus, not only at the prime powers."""
+    from zpure.zmodlin import hermite_key
+
+    k, m = formula.free_count, formula.bound_count
+    rows = [b + a for a, b in zip(formula.a.entries, formula.b.entries)]
+    sig = []
+    for d in reference_divisors(modulus)[1:]:
+        key = hermite_key(rows, (d,) * (m + k))
+        sig.append(tuple(r[m:] for r in key[m:]))
+    return tuple(sig)
 
 
 def reference_row_spans(modulus, width, max_rows):
@@ -344,7 +366,7 @@ def reference_fp_candidates(modulus, depth):
     """Every candidate map u: b -> a of the fp catalog, in order."""
     from zpure.finmod import CanonicalModule, ModuleMap, hom_module
 
-    mods = [CanonicalModule(modulus, c) for c in divisor_chains(modulus, depth)]
+    mods = [CanonicalModule(modulus, c) for c in reference_divisor_chains(modulus, depth)]
     for b in mods:
         for a in mods:
             h = hom_module(b, a)
@@ -391,12 +413,12 @@ def reference_fp_functor_exact(u, seq):
 def reference_pp_pair_exact(phi, psi, seq):
     """Exactness of the sort-group sequence of phi/psi through canonical maps."""
     from zpure.finmod import is_exact
-    from zpure.ppdef import PpPair, eval_pp, induced_pp_map, sort_group_from_subgroups
+    from zpure.ppdef import PpPair, induced_pp_map, sort_group_from_subgroups
 
     pair = PpPair.of(phi, psi)
     mods = (seq.left, seq.middle, seq.right)
-    phi_subs = [eval_pp(phi, m) for m in mods]
-    psi_subs = [eval_pp(pair.psi, m) for m in mods]
+    phi_subs = [cached_eval_pp(phi, m) for m in mods]
+    psi_subs = [cached_eval_pp(pair.psi, m) for m in mods]
     if all(q.cardinality == p.cardinality for p, q in zip(phi_subs, psi_subs)):
         return True  # all three sort groups vanish; trivially exact
     sorts = [sort_group_from_subgroups(p, q, m) for p, q, m in zip(phi_subs, psi_subs, mods)]
@@ -476,6 +498,16 @@ def reference_check_hom_lifting(seq):
     return True, None
 
 
+def reference_check_tensor(seq):
+    """``zpure.purity.check_tensor`` as it tried every divisor d >= 2."""
+    from zpure.finmod import CanonicalModule, tensor_map
+
+    for d in reference_divisors(seq.modulus)[1:]:
+        if not tensor_map(CanonicalModule.cyclic(seq.modulus, d), seq.f).is_injective():
+            return False, {"kind": "tensor", "cyclic": d}
+    return True, None
+
+
 def reference_splitting_section(seq):
     """``zpure.finmod.splitting_section`` as one joint system: n_N^2 rows
     (k, j) over n_M*n_N unknowns c_(i,j), the cyclic hom coordinates of the
@@ -515,7 +547,16 @@ def reference_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def divisor_chains(n, max_gens):
+def prime_factor_count(n):
+    """Omega(n), by repeated division by the least divisor >= 2."""
+    count = 0
+    while n > 1:
+        n //= next(d for d in range(2, n + 1) if n % d == 0)
+        count += 1
+    return count
+
+
+def reference_divisor_chains(n, max_gens):
     """Every invariant-factor chain over Z/n with at most ``max_gens`` terms."""
     divs = [d for d in reference_divisors(n) if d >= 2]
     chains = [()]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,7 +241,7 @@ def _lru_caches():
 
 def test_every_cache_is_bounded():
     caches = dict(_lru_caches())
-    assert {"zpure.ppdef.PpPair.of", "zpure.ppdef.eval_pp", "zpure.purity.fp_term",
+    assert {"zpure.ppdef.PpPair.of", "zpure.ppdef.pp_pair_value", "zpure.purity.module_terms",
             "zpure.finmod.hom_module"} <= set(caches)
     unbounded = [name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None]
@@ -411,6 +412,23 @@ def test_fp_budget_refuses_check_and_random_quickly(run_cli, monkeypatch, tmp_pa
         assert code == 2, argv
         assert _one_error_line(out, err), argv
         assert err.startswith("error: the fp catalog") and f"budget of {MAX_FP_PAIRS}" in err
+
+
+def test_check_at_modulus_one_with_a_huge_fp_depth_finishes(tmp_path):
+    # the budget admits its single module pair; the chain lengths then stop
+    # at the first empty one instead of walking 10^9 of them
+    path = tmp_path / "m1.json"
+    path.write_text(json.dumps({"modulus": 1, "L": [], "M": [], "N": [], "f": [], "g": []}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "zpure.cli", "check", str(path),
+                           "--fp-depth", "1000000000"],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 0, proc.stderr
+    assert all(json.loads(proc.stdout)["verdicts"].values())
 
 
 @pytest.mark.parametrize("bounds,message", [

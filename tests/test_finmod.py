@@ -18,6 +18,7 @@ from zpure.finmod import (
     Subgroup,
     divisors,
     direct_sum,
+    divisor_chains,
     dual_map,
     dual_module,
     evaluation_map,
@@ -25,6 +26,7 @@ from zpure.finmod import (
     hom_module,
     is_exact,
     normalize_presentation,
+    prime_powers,
     quotient_by_subgroup,
     random_hom,
     random_module,
@@ -41,8 +43,9 @@ from oracles import (
     ReferenceModSolver,
     all_homs,
     apply_matrix,
-    divisor_chains,
     module_elements,
+    prime_factor_count,
+    reference_divisor_chains,
     reference_divisors,
     reference_dual_map,
     reference_dual_module,
@@ -453,7 +456,7 @@ def test_tensor_pure_matches_reference(n):
     """``pure`` against the full raw table, for every pair of modules with at
     most two generators; ``entries`` of a generator projects back onto it."""
     rng = random.Random(f"pure-oracle:{n}")
-    modules = [Z(n, *chain) for chain in divisor_chains(n, 2)]
+    modules = [Z(n, *chain) for chain in reference_divisor_chains(n, 2)]
     for y in modules:
         for m in modules:
             t = tensor_modules(y, m)
@@ -745,3 +748,37 @@ def test_divisors_of_large_prime_is_fast():
     t0 = time.perf_counter()
     assert divisors(10**9 + 7) == [1, 10**9 + 7]
     assert time.perf_counter() - t0 < 0.1
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_prime_powers_match_brute_force():
+    powers = [q for q in range(2, 5001) if _is_prime_power(q)]
+    for n in range(1, 5001):
+        expected = [q for q in powers if n % q == 0]
+        assert prime_powers(n) == expected, n
+        assert len(expected) == prime_factor_count(n)
+    assert prime_powers(2 ** 39) == [2 ** j for j in range(1, 40)]
+    assert prime_powers(10 ** 12) == sorted([2 ** j for j in range(1, 13)]
+                                            + [5 ** j for j in range(1, 13)])
+    for n in (2 ** 39, 10 ** 12):
+        assert len(prime_powers(n)) == prime_factor_count(n)
+
+
+def test_divisor_chains_by_length():
+    for n in (1, 2, 7, 12, 36, 72):
+        for depth in range(4):
+            levels = list(divisor_chains(n, depth))
+            chains = reference_divisor_chains(n, depth)
+            assert [c for level in levels for c in level] == chains, (n, depth)
+            assert [len(c) for c in chains] == sorted(len(c) for c in chains)
+            assert all(len(c) == k for k, level in enumerate(levels) for c in level)
+    assert [len(level) for level in divisor_chains(2 ** 39, 2)] == [1, 39, 780]
+    # lengths are built when asked for, and stop at the first one with no chain
+    assert list(divisor_chains(1, 10 ** 9)) == [[()]]
+    assert list(islice(divisor_chains(2, 10 ** 9), 4)) == [[()], [(2,)], [(2, 2)], [(2, 2, 2)]]

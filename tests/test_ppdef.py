@@ -31,7 +31,9 @@ from zpure.zmodlin import IntMatrix
 from oracles import (
     dedup_test_modules,
     pp_solution_set,
+    prime_factor_count,
     reference_enumerate_pp,
+    reference_formula_signature,
     reference_offered_formulas,
     reference_row_spans,
     reference_signature,
@@ -305,15 +307,6 @@ def test_signature_equivalence_matches_evaluation(bounds):
     assert len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
 
 
-def prime_factor_count(n):
-    """Omega(n), by repeated division by the least divisor >= 2."""
-    count = 0
-    while n > 1:
-        n //= next(d for d in range(2, n + 1) if n % d == 0)
-        count += 1
-    return count
-
-
 @lru_cache(maxsize=None)
 def _uncapped_scan(bounds):
     """Every formula the catalog considers for ``bounds``, and its signature."""
@@ -341,6 +334,36 @@ def test_capped_scan_is_a_prefix(monkeypatch, bounds):
         assert bounds[1] == 1
         assert kept == cap
         assert len(set(sigs[:len(offered) - 1])) == cap - 1
+
+
+def _same_classes(formulas, modulus):
+    new = [ppdef._formula_signature(f, modulus) for f in formulas]
+    ref = [reference_formula_signature(f, modulus) for f in formulas]
+    return len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
+
+
+@pytest.mark.parametrize("bounds", [(12, 2, 1, 1), (24, 2, 1, 1), (72, 1, 1, 1), (180, 1, 1, 1)],
+                         ids=bounds_id)
+def test_prime_power_signatures_match_every_divisor(bounds):
+    # every formula the uncapped scan offers, and with one free variable
+    # every conjunction the pp checker looks up, falls into the same classes
+    # as when signed at every divisor d >= 2
+    modulus = bounds[0]
+    formulas = list(ppdef._candidate_formulas(*bounds))
+    if bounds[1] == 1:
+        catalog = enumerate_pp(*bounds)
+        formulas += [PpPair.of(phi, psi).psi for phi in catalog for psi in catalog]
+    assert _same_classes(formulas, modulus)
+
+
+@pytest.mark.parametrize("modulus", (12, 24, 30, 36, 60, 72, 120))
+def test_catalog_is_unchanged_by_prime_power_signing(monkeypatch, modulus):
+    bounds = (modulus, 1, 2, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(ppdef, "_formula_signature", reference_formula_signature)
+        reference = enumerate_pp.__wrapped__(*bounds)
+    assert enumerate_pp(*bounds) == reference
+    assert len(reference) == 2 ** prime_factor_count(modulus)
 
 
 def test_format_parse_roundtrip():

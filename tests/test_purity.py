@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -48,12 +49,14 @@ from zpure.zmodlin import IntMatrix, hermite_extend, hermite_key
 
 from helpers import direct_sum_sequences, fp_functor_exact, inverse, pp_pair_exact
 from oracles import (
-    divisor_chains,
+    cached_eval_pp,
     module_elements,
     pure_at,
     reference_check_fp_functors,
     reference_check_hom_lifting,
     reference_check_pp_pairs,
+    reference_check_tensor,
+    reference_divisor_chains,
     reference_eval_pp_gens,
     reference_fp_candidates,
     reference_fp_catalog,
@@ -139,7 +142,7 @@ def test_every_subgroup_is_judged_by_the_definition_of_purity(n, max_gens, seque
     # all six verdicts are "A & dM == dA for every d | n", and an impure
     # A fails the definition at the hom_lifting witness's d
     counts = [0, 0]
-    for chain in divisor_chains(n, max_gens):
+    for chain in reference_divisor_chains(n, max_gens):
         middle = CanonicalModule(n, chain)
         for key in subgroup_keys(chain):
             sub = Subgroup(chain, n, key)
@@ -189,9 +192,57 @@ def test_hom_lifting_matches_the_enumerating_reference(n):
     assert impure >= 5
 
 
+@pytest.mark.parametrize("n", [12, 24, 36, 72, 360])
+def test_prime_power_checkers_match_every_divisor(n):
+    # check_hom_lifting and check_tensor try the prime powers p^j | N only;
+    # trying every divisor d >= 2 gives the same verdicts and witnesses
+    impure = 0
+    for s in range(60):
+        seq = random_ses(n, f"powers:{s}", max_gens=4)
+        assert check_tensor(seq) == reference_check_tensor(seq), s
+        failing = []
+        for d in divisors(n)[1:]:
+            tor_n = purity._torsion_subgroup(seq.right, d)
+            pushed = Subgroup(seq.right.invariants, n, tuple(
+                seq.g.apply(x) for x in purity._torsion_subgroup(seq.middle, d).gens))
+            if pushed.cardinality != tor_n.cardinality:
+                failing.append(d)
+        ok, witness = check_hom_lifting(seq)
+        assert ok == (not failing), s
+        if failing:
+            assert witness["cyclic"] == failing[0], s
+            impure += 1
+    assert impure >= 5
+
+
+def test_modules_with_bounded_gens_keep_the_reference_order():
+    for n in (1, 2, 7, 12, 24, 72, 360):
+        for depth in range(4):
+            modules = _modules_with_bounded_gens(n, depth)
+            assert [m.invariants for m in modules] == reference_divisor_chains(n, depth)
+
+
+def test_checker_terms_are_kept_only_in_the_module_tables():
+    # ModuleTerms is the one memo of fp_term and eval_pp on the checker path:
+    # with the tables dropped, what the harness allocated is nearly all freed
+    # (a cache of their own kept about 1.9 MiB here)
+    equivalence_harness(12, 1, 1, max_gens=6)  # builds the catalogs
+    tracemalloc.start()
+    try:
+        equivalence_harness(12, 20, 1, max_gens=6)
+        peak = tracemalloc.get_traced_memory()[1]
+        module_terms.cache_clear()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert left < 2 ** 20
+
+
 @pytest.mark.parametrize("n", [6, 16, 36, 72])
 def test_torsion_subgroup_matches_the_kernel_of_d(n):
-    for chain in divisor_chains(n, 3):
+    for chain in reference_divisor_chains(n, 3):
         for d in divisors(n)[1:]:
             module = Z(n, *chain)
             assert purity._torsion_subgroup(module, d).gens == \
@@ -265,9 +316,9 @@ def test_pp_verdicts_match_reference(modulus):
     for seq in _oracle_sequences(modulus):
         mods = (seq.left, seq.middle, seq.right)
         for phi in catalog:
-            phis = [eval_pp(phi, m) for m in mods]
+            phis = [cached_eval_pp(phi, m) for m in mods]
             for psi in catalog:
-                psis = [eval_pp(PpPair.of(phi, psi).psi, m) for m in mods]
+                psis = [cached_eval_pp(PpPair.of(phi, psi).psi, m) for m in mods]
                 assert (pp_pair_exact(phis, psis, seq, phi.free_count)
                         == reference_pp_pair_exact(phi, psi, seq)), (phi, psi, seq)
 
@@ -287,12 +338,12 @@ TABLE_MODULI = (4, 6, 8, 9, 12)
 @pytest.mark.parametrize("modulus", TABLE_MODULI)
 def test_module_tables_match_per_entry_terms(modulus):
     # the table reads pp terms off the catalog formula equivalent to each
-    # conjunction; every entry must be the term the per-entry caches give
+    # conjunction; every entry must be the term fp_term and eval_pp give
     b = DEFAULT_BOUNDS
     maps = fp_catalog(modulus, b.fp_depth)
     formulas = enumerate_pp(modulus, b.pp_free, b.pp_exists, b.pp_rows)
     module_terms.cache_clear()
-    for chain in divisor_chains(modulus, 3):
+    for chain in reference_divisor_chains(modulus, 3):
         module = Z(modulus, *chain)
         table = module_terms(module, b)
         for i, u in enumerate(maps):
@@ -314,7 +365,7 @@ def test_module_tables_evaluate_conjunctions_outside_the_catalog():
     assert len(formulas) == 7
     assert any(not isinstance(c, int) for c in purity._pp_conjunctions(8, bounds))
     assert all(isinstance(c, int) for c in purity._pp_conjunctions(8, DEFAULT_BOUNDS))
-    for chain in divisor_chains(8, 3):
+    for chain in reference_divisor_chains(8, 3):
         module = Z(8, *chain)
         table = module_terms(module, bounds)
         for i, phi in enumerate(formulas):
@@ -344,7 +395,7 @@ def test_table_checkers_match_reference(modulus):
 def test_eval_pp_matches_direct_kernel(modulus):
     catalog = enumerate_pp(modulus, 1, 2, 2)
     formulas = set(catalog) | {PpPair.of(phi, psi).psi for phi in catalog for psi in catalog}
-    for chain in divisor_chains(modulus, 3):
+    for chain in reference_divisor_chains(modulus, 3):
         module = Z(modulus, *chain)
         for formula in formulas:
             assert eval_pp(formula, module).gens == reference_eval_pp_gens(formula, module)
@@ -774,7 +825,7 @@ def test_torsion_presentations_are_pinned():
     # through its presentation, so a kernel change that moves one fails here
     records = []
     for n in (4, 8, 9, 12, 24):
-        for chain in divisor_chains(n, 3):
+        for chain in reference_divisor_chains(n, 3):
             for d in divisors(n)[1:]:
                 sub = purity._torsion_subgroup(Z(n, *chain), d)
                 pres = sub.presentation
