@@ -221,6 +221,10 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     lexicographically first member in [0, modulus)^width, so scanning the
     box of representatives in order visits every nonzero coset once, at the
     row a scan of all modulus^width rows would reach it first.
+
+    Only the lattices new at one level are extended at the next, so the scan
+    stops at the first level that adds no lattice: every later level would
+    be empty too.
     """
     from itertools import product
 
@@ -229,6 +233,8 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
     seen = {zero_key}
     level: list[tuple[tuple, list]] = [(zero_key, [])]
     for _ in range(max_rows):
+        if not level:
+            break
         nxt = []
         for key, rows in level:
             box = product(*(range(key[i][i]) for i in range(width)))
@@ -245,7 +251,16 @@ def _enumerate_row_spans(modulus: int, width: int, max_rows: int):
 
 
 def _candidate_formulas(modulus: int, free_vars: int, max_bound: int, max_rows: int):
-    """Every formula the catalog considers, in the order it considers them."""
+    """Every formula the catalog considers, in the order it considers them.
+
+    The bound-variable count m runs only up to min(max_bound, max_rows): r
+    rows use at most r bound variables.  Let V be the column transform of a
+    Smith form of the r x m block B over Z/N; y -> Vy is a bijection on M^m,
+    so A*x + B*y = 0 and A*x + BV*y = 0 define the same subgroup, and BV is
+    zero past its first r columns.  So a formula with r <= max_rows rows and
+    m > r bound variables has the class of one with r rows and r bound
+    variables, whose row span the scan met earlier, at m = r <= max_bound.
+    """
     yield trivial_formula(free_vars)
     if free_vars == 1:
         if max_bound >= 1:
@@ -253,7 +268,7 @@ def _candidate_formulas(modulus: int, free_vars: int, max_bound: int, max_rows: 
                 yield divisibility_formula(d, modulus)
         for d in divisors(modulus):
             yield annihilator_formula(d)
-    for m in range(0, max_bound + 1):
+    for m in range(0, min(max_bound, max_rows) + 1):
         width = free_vars + m
         for rows in _enumerate_row_spans(modulus, width, max_rows):
             a = IntMatrix.from_rows([r[:free_vars] for r in rows], cols=free_vars)
@@ -304,6 +319,34 @@ def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
             if len(catalog) == cap:
                 break
     return tuple(catalog)
+
+
+@lru_cache(maxsize=16)
+def pp_conjunctions(modulus: int, free_vars: int, max_bound: int, max_rows: int) -> tuple:
+    """For the pair (i, j) of the n formulas of ``enumerate_pp`` under these
+    bounds, at i * n + j: the position of a catalog formula equivalent to
+    psi_j & phi_i, else ``psi_j.conjoin(phi_i)`` for ``eval_pp``.
+
+    A conjunction's signature is ``hermite_extend`` of its conjuncts' at each
+    prime power q, so each catalog formula is signed once.  Proof: over Z/q a
+    signature is the Hermite key of R_x, the part of the row span R that is
+    zero on the bound coordinates.  ``conjoin`` keeps the bound variables
+    apart, so R = R_phi + R_psi, R_phi zero on psi's bound coordinates and
+    R_psi on phi's.  If r = r_phi + r_psi lies in R_x, then r_phi agrees with
+    r, so is zero, on phi's bound coordinates: r_phi lies in R_x(phi), and
+    likewise r_psi in R_x(psi).  Hence R_x(phi & psi) = R_x(phi) + R_x(psi).
+    With one free variable and the class bound reached, all are found.
+    """
+    catalog = enumerate_pp(modulus, free_vars, max_bound, max_rows)
+    sigs = [_formula_signature(phi, modulus) for phi in catalog]
+    where = {sig: k for k, sig in enumerate(sigs)}
+    orders = [(q,) * free_vars for q in prime_powers(modulus)]
+    conjunctions = []
+    for i, phi in enumerate(catalog):
+        for j, psi in enumerate(catalog):
+            sig = tuple(map(hermite_extend, sigs[i], sigs[j], orders))
+            conjunctions.append(where[sig] if sig in where else psi.conjoin(phi))
+    return tuple(conjunctions)
 
 
 # ---------------------------------------------------------------------------

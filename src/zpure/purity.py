@@ -52,11 +52,10 @@ from .finmod import (
     tensor_map,
 )
 from .ppdef import (
-    PpPair,
-    _formula_signature,
     enumerate_pp,
     eval_pp,
     format_pp,
+    pp_conjunctions,
 )
 from .zmodlin import (
     IntMatrix,
@@ -152,13 +151,13 @@ def check_split_oracle(seq: ShortSequence):
 def check_fp_functors(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
     """Exactness of every sequence induced by the bounded fp-functor catalog.
 
-    The terms come from the three modules' tables; the entries with one
-    domain b share their generators, so they form one group of ``InducedMaps``."""
+    The terms come from the three modules' tables; ``InducedMaps`` shares
+    work between the entries of one domain b, whose carriers are equal."""
     tables = [module_terms(m, bounds) for m in (seq.left, seq.middle, seq.right)]
     maps = InducedMaps(seq.f, seq.g)
     for i, u in enumerate(tables[0].fp_maps):
         b = u.domain
-        if not maps.exact(*(t.fp(i) for t in tables), blocks=b.ngens, group=b.invariants):
+        if not maps.exact(*(t.fp(i) for t in tables), blocks=b.ngens):
             return False, {
                 "kind": "fp_functor",
                 "map_domain": list(b.invariants),
@@ -171,8 +170,8 @@ def check_fp_functors(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
 def check_pp_pairs(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
     """Exactness of the sort-group sequence for every catalog pp pair.
 
-    The terms come from the three modules' tables; the pairs with one phi
-    share G = phi(X), so they form one group of ``InducedMaps``."""
+    The terms come from the three modules' tables; ``InducedMaps`` shares
+    work between the pairs of one phi, whose carriers G = phi(X) are equal."""
     tables = [module_terms(m, bounds) for m in (seq.left, seq.middle, seq.right)]
     maps = InducedMaps(seq.f, seq.g)
     catalog = tables[0].pp_formulas
@@ -181,7 +180,7 @@ def check_pp_pairs(seq: ShortSequence, bounds: Bounds = DEFAULT_BOUNDS):
             terms = [t.pp(i, j) for t in tables]
             if all(t.order == 1 for t in terms):
                 continue  # all three sort groups vanish; trivially exact
-            if not maps.exact(*terms, blocks=phi.free_count, group=i):
+            if not maps.exact(*terms, blocks=phi.free_count):
                 return False, {"kind": "pp_pair",
                                "phi": format_pp(phi), "psi": format_pp(psi)}
     return True, None
@@ -225,12 +224,11 @@ class InducedTerm:
 
     G(X) and R(X) <= G(X) are subgroups of prod Z/o_i, the coordinates
     grouped into blocks, one copy of X per block on which a map X -> Y acts.
-    ``gens`` generate G(X); ``carrier`` and ``relations`` are the Hermite
-    keys of G(X) and R(X); ``order`` is |F(X)| = |G(X)| / |R(X)|.
+    ``carrier`` and ``relations`` are the Hermite keys of G(X) and R(X);
+    ``order`` is |F(X)| = |G(X)| / |R(X)|.
     """
 
     orders: tuple[int, ...]
-    gens: tuple[Vec, ...]
     carrier: tuple[Vec, ...]
     relations: tuple[Vec, ...]
     order: int
@@ -260,43 +258,36 @@ def _inside(vectors, key) -> bool:
     return not any(any(hermite_reduce(v, key)) for v in vectors)
 
 
-def _relation_images(push, term: InducedTerm) -> list[Vec]:
-    """Images of the rows of R(X)'s key; a row with pivot o_i is o_i*e_i
-    plus later rows, and o_i*e_i maps to zero, so it is skipped."""
-    return [push(row) for i, (row, o) in enumerate(zip(term.relations, term.orders))
-            if row[i] != o]
+def _key_images(push, key, orders) -> list[Vec]:
+    """Images of the rows of a key, which generate its subgroup; a row with
+    pivot o_i is o_i*e_i, which maps to zero, plus later rows, so it is skipped."""
+    return [push(row) for i, (row, o) in enumerate(zip(key, orders)) if row[i] != o]
 
 
 class InducedMaps:
     """f and g of one sequence L -f-> M -g-> N acting on induced terms.
 
     ``exact`` decides whether F(L) -> F(M) -> F(N) is exact.  It builds the
-    blockwise push tables once per block count.  Entries of one ``group``
-    must share the generators and the carriers of their three terms (fp
-    terms of one domain b, pp terms of one phi); their pushed generators
-    and the carrier checks are computed at the group's first entry.
+    blockwise pushes, the pushed generators of G and the carrier checks once
+    per (blocks, left.carrier, middle.carrier, right.carrier), everything
+    they depend on.
     """
 
     def __init__(self, f: ModuleMap, g: ModuleMap):
         self.f, self.g = f, g
-        self._pushes: dict[int, tuple] = {}
-        self._groups: dict = {}
+        self._carriers: dict = {}
 
-    def _group(self, left: InducedTerm, middle: InducedTerm, right: InducedTerm,
-               blocks: int) -> tuple:
-        pushes = self._pushes.get(blocks)
-        if pushes is None:
-            pushes = self._pushes[blocks] = (_blockwise(self.f, blocks),
-                                             _blockwise(self.g, blocks))
-        push_f, push_g = pushes
-        f_gens = [push_f(v) for v in left.gens]
-        g_gens = [push_g(v) for v in middle.gens]
+    def _pushed(self, left: InducedTerm, middle: InducedTerm, right: InducedTerm,
+                blocks: int) -> tuple:
+        push_f, push_g = _blockwise(self.f, blocks), _blockwise(self.g, blocks)
+        f_gens = _key_images(push_f, left.carrier, left.orders)
+        g_gens = _key_images(push_g, middle.carrier, middle.orders)
         if not (_inside(f_gens, middle.carrier) and _inside(g_gens, right.carrier)):
             raise InternalCheckError("induced map is ill-defined")
         return push_f, push_g, f_gens, g_gens, [push_g(v) for v in f_gens]
 
     def exact(self, left: InducedTerm, middle: InducedTerm, right: InducedTerm,
-              blocks: int, group) -> bool:
+              blocks: int) -> bool:
         """Whether F(L) -> F(M) -> F(N), induced by L -f-> M -g-> N, is exact.
 
         The checks of ``finmod.exactness_failure`` on the induced maps, read
@@ -306,13 +297,14 @@ class InducedMaps:
         (surjective; equal Hermite keys).  A map that does not carry G into G
         and R into R is a defect.
         """
-        data = self._groups.get(group)
+        at = (blocks, left.carrier, middle.carrier, right.carrier)
+        data = self._carriers.get(at)
         if data is None:
-            data = self._groups[group] = self._group(left, middle, right, blocks)
+            data = self._carriers[at] = self._pushed(left, middle, right, blocks)
         push_f, push_g, f_gens, g_gens, gf_gens = data
-        if not (_inside(_relation_images(push_f, left), middle.relations)
-                and _inside(_relation_images(push_g, middle), right.relations)):
-            raise InternalCheckError("induced map is ill-defined")
+        for push, term, target in ((push_f, left, middle), (push_g, middle, right)):
+            if not _inside(_key_images(push, term.relations, term.orders), target.relations):
+                raise InternalCheckError("induced map is ill-defined")
         if not _inside(gf_gens, right.relations) or middle.order != left.order * right.order:
             return False
         orders = middle.orders
@@ -338,7 +330,6 @@ def fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
     steps = [xk // gcd(xk, bj) for bj in u.domain.invariants for xk in x]
     w = len(orders)
     carrier = tuple(tuple(c if i == j else 0 for j in range(w)) for i, c in enumerate(steps))
-    gens = tuple(row for row, c, o in zip(carrier, steps, orders) if c != o)
     rels = []
     for k, xk in enumerate(x):
         for row, ai in zip(u.matrix.entries, u.codomain.invariants):
@@ -349,7 +340,7 @@ def fp_term(u: ModuleMap, module: CanonicalModule) -> InducedTerm:
             rels.append(vec)
     relations = hermite_key(rels, orders)
     order = key_order(carrier, orders) // key_order(relations, orders)
-    return InducedTerm(orders, gens, carrier, relations, order)
+    return InducedTerm(orders, carrier, relations, order)
 
 
 # ---------------------------------------------------------------------------
@@ -446,43 +437,22 @@ def fp_catalog(modulus: int, depth: int) -> tuple[ModuleMap, ...]:
 # Per-module catalog terms
 
 
-@lru_cache(maxsize=16)
-def _pp_conjunctions(modulus: int, bounds: Bounds) -> tuple:
-    """For the pp catalog pair (i, j) at position i * n + j: the position k
-    of a catalog formula equivalent to psi_j & phi_i, if there is one, else
-    that conjunction itself (``PpPair.of(phi_i, psi_j).psi``).
-
-    Equivalent formulas have equal ``_formula_signature`` and define the
-    same subgroup of every module.  With one free variable and the class
-    bound reached, the catalog holds every class, so every conjunction is
-    found and a module's pp terms need only the n values phi_k(X).
-    """
-    catalog = enumerate_pp(modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
-    where = {_formula_signature(phi, modulus): k for k, phi in enumerate(catalog)}
-    conjunctions = []
-    for phi in catalog:
-        for psi in catalog:
-            both = PpPair.of(phi, psi).psi
-            conjunctions.append(where.get(_formula_signature(both, modulus), both))
-    return tuple(conjunctions)
-
-
 class ModuleTerms:
     """The terms F(X) of one module X for every entry of the fp and pp
     catalogs, indexed by catalog position and filled on first use.
 
     ``fp(i)`` is ``fp_term(fp_maps[i], X)``; ``pp(i, j)`` is
     phi(X)/(psi & phi)(X) for phi, psi the i-th and j-th pp formulas, from
-    ``eval_pp`` and ``_pp_conjunctions``.  A checker reads its terms here by
+    ``eval_pp`` and ``pp_conjunctions``.  A checker reads its terms here by
     index, so it hashes no map or formula per entry.
     """
 
     def __init__(self, module: CanonicalModule, bounds: Bounds):
         self.module = module
         self.fp_maps = fp_catalog(module.modulus, bounds.fp_depth)
-        self.pp_formulas = enumerate_pp(module.modulus, bounds.pp_free, bounds.pp_exists,
-                                        bounds.pp_rows)
-        self._conjunctions = _pp_conjunctions(module.modulus, bounds)
+        pp = (module.modulus, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
+        self.pp_formulas = enumerate_pp(*pp)
+        self._conjunctions = pp_conjunctions(*pp)
         self._fp: list[Optional[InducedTerm]] = [None] * len(self.fp_maps)
         self._phi: list[Optional[Subgroup]] = [None] * len(self.pp_formulas)
         self._pp: list[Optional[InducedTerm]] = [None] * len(self._conjunctions)
@@ -506,8 +476,8 @@ class ModuleTerms:
             both = self._conjunctions[at]
             psi_x = self._phi_x(both) if isinstance(both, int) else eval_pp(both, self.module)
             phi_x = self._phi_x(i)
-            term = self._pp[at] = InducedTerm(phi_x.ambient_orders, phi_x.gens, phi_x.key,
-                                              psi_x.key, phi_x.cardinality // psi_x.cardinality)
+            term = self._pp[at] = InducedTerm(phi_x.ambient_orders, phi_x.key, psi_x.key,
+                                              phi_x.cardinality // psi_x.cardinality)
         return term
 
     def fill(self) -> None:

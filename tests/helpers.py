@@ -213,7 +213,7 @@ def fp_functor_exact(u: ModuleMap, seq: ShortSequence) -> bool:
     """Whether F_u(L) -> F_u(M) -> F_u(N) is exact, F_u = coker(Hom(a, -) ->
     Hom(b, -)) for u: b -> a."""
     terms = [cached_fp_term(u, m) for m in (seq.left, seq.middle, seq.right)]
-    return InducedMaps(seq.f, seq.g).exact(*terms, blocks=u.domain.ngens, group=None)
+    return InducedMaps(seq.f, seq.g).exact(*terms, blocks=u.domain.ngens)
 
 
 def pp_pair_exact(phis, psis, seq: ShortSequence, free_count: int) -> bool:
@@ -221,6 +221,6 @@ def pp_pair_exact(phis, psis, seq: ShortSequence, free_count: int) -> bool:
     evaluations of phi and of psi & phi at the three terms."""
     if all(p.cardinality == q.cardinality for p, q in zip(phis, psis)):
         return True  # all three sort groups vanish; trivially exact
-    terms = [InducedTerm(p.ambient_orders, p.gens, p.key, q.key, p.cardinality // q.cardinality)
+    terms = [InducedTerm(p.ambient_orders, p.key, q.key, p.cardinality // q.cardinality)
              for p, q in zip(phis, psis)]
-    return InducedMaps(seq.f, seq.g).exact(*terms, blocks=free_count, group=None)
+    return InducedMaps(seq.f, seq.g).exact(*terms, blocks=free_count)

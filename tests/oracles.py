@@ -355,6 +355,22 @@ def reference_enumerate_pp(modulus, free_vars=1, max_bound=2, max_rows=2):
     return tuple(catalog)
 
 
+def reference_pp_conjunctions(modulus, free_vars, max_bound, max_rows):
+    """``zpure.ppdef.pp_conjunctions`` as first built, in ``zpure.purity``:
+    every conjunction psi_j & phi_i is built and signed, n^2 formulas, and
+    looked up among the signatures of the catalog."""
+    from zpure.ppdef import PpPair, _formula_signature, enumerate_pp
+
+    catalog = enumerate_pp(modulus, free_vars, max_bound, max_rows)
+    where = {_formula_signature(phi, modulus): k for k, phi in enumerate(catalog)}
+    conjunctions = []
+    for phi in catalog:
+        for psi in catalog:
+            both = PpPair.of(phi, psi).psi
+            conjunctions.append(where.get(_formula_signature(both, modulus), both))
+    return tuple(conjunctions)
+
+
 # ---------------------------------------------------------------------------
 # The fp catalog as first built: each candidate map is deduplicated by the
 # library's fp-functor evaluation (a hom group and a quotient module per

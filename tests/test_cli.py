@@ -431,6 +431,25 @@ def test_check_at_modulus_one_with_a_huge_fp_depth_finishes(tmp_path):
     assert all(json.loads(proc.stdout)["verdicts"].values())
 
 
+@pytest.mark.parametrize("bound", ["--pp-rows", "--pp-exists"])
+def test_check_at_modulus_one_with_a_huge_pp_bound_finishes(tmp_path, bound):
+    # the pp scan uses at most as many bound variables as rows and stops at
+    # the first row level that adds no lattice, instead of walking 10^9 of
+    # either
+    path = tmp_path / "m1.json"
+    path.write_text(json.dumps({"modulus": 1, "L": [], "M": [], "N": [], "f": [], "g": []}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "zpure.cli", "check", str(path),
+                           "--pp-free", "2", bound, "1000000000"],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 0, proc.stderr
+    assert all(json.loads(proc.stdout)["verdicts"].values())
+
+
 @pytest.mark.parametrize("bounds,message", [
     (("--fp-depth", "0"), "fp_depth 0"),
     (("--pp-free", "2", "--pp-rows", "0"), "pp_rows 0"),

@@ -20,6 +20,7 @@ from zpure.ppdef import (
     eval_pp,
     format_pp,
     induced_pp_map,
+    pp_conjunctions,
     pp_pair_value,
     trivial_formula,
     _enumerate_row_spans,
@@ -35,6 +36,7 @@ from oracles import (
     reference_enumerate_pp,
     reference_formula_signature,
     reference_offered_formulas,
+    reference_pp_conjunctions,
     reference_row_spans,
     reference_signature,
     span_mod,
@@ -273,6 +275,50 @@ def test_row_spans_match_full_scan(modulus):
     for width in (1, 2):
         assert (list(_enumerate_row_spans(modulus, width, 3))
                 == reference_row_spans(modulus, width, 3))
+
+
+@pytest.mark.parametrize("bounds", [(n, 1, 3, 1) for n in (2, 4, 6, 8, 9)]
+                         + [(4, 2, 2, 1), (6, 2, 2, 1), (4, 2, 3, 1)],
+                         ids=bounds_id)
+def test_wide_formulas_add_no_class(bounds):
+    # r rows use at most r bound variables, so the scan stops at
+    # min(pp_exists, pp_rows) of them; the reference scans every count up to
+    # pp_exists and must keep the same catalog
+    assert max(f.bound_count for f in ppdef._candidate_formulas(*bounds)) <= min(bounds[2:])
+    catalog = enumerate_pp(*bounds)
+    reference = reference_enumerate_pp(*bounds)
+    assert [format_pp(f) for f in catalog] == [format_pp(f) for f in reference]
+
+
+def test_row_span_scan_stops_at_an_empty_level():
+    # a level's children come from its new lattices only, so a level that
+    # adds none ends the scan: 10^9 levels cost nothing here
+    assert list(_enumerate_row_spans(1, 3, 10 ** 9)) == []
+    assert list(_enumerate_row_spans(2, 1, 10 ** 9)) == reference_row_spans(2, 1, 3)
+    assert list(_enumerate_row_spans(4, 1, 10 ** 9)) == reference_row_spans(4, 1, 3)
+    for bounds in ((1, 2, 10 ** 9, 2), (1, 2, 2, 10 ** 9)):
+        assert enumerate_pp(*bounds) == (trivial_formula(2),)
+
+
+# the conjunction table against its first construction, which conjoins and
+# signs all n^2 formulas: every class found at the default bounds, misses
+# with fewer rows (N=16 at one row misses 10 conjunctions) and with two free
+# variables
+CONJUNCTION_BOUNDS = ([(n, 1, 2, 2) for n in (1, 2, 4, 8, 9, 12, 16, 24, 36, 72)]
+                      + [(8, 1, 2, 1), (16, 1, 2, 1), (32, 1, 1, 1), (72, 1, 1, 1)]
+                      + [(n, 2, 1, 1) for n in (1, 4, 6, 8, 9)] + [(4, 2, 2, 2)])
+
+
+@pytest.mark.parametrize("bounds", CONJUNCTION_BOUNDS, ids=bounds_id)
+def test_conjunctions_match_reference(bounds):
+    table = pp_conjunctions(*bounds)
+    reference = reference_pp_conjunctions(*bounds)
+    n = len(enumerate_pp(*bounds))
+    assert len(table) == len(reference) == n * n
+    for at, (got, want) in enumerate(zip(table, reference)):
+        assert type(got) is type(want) and got == want, (bounds, divmod(at, n))
+    if bounds == (16, 1, 2, 1):
+        assert sum(not isinstance(c, int) for c in table) == 10
 
 
 def _offered_formulas(monkeypatch, bounds):

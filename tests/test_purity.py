@@ -44,7 +44,7 @@ from zpure.purity import (
 )
 from zpure import cli, purity
 from zpure.funcat import fp_value
-from zpure.ppdef import PpFormula, PpPair, enumerate_pp, eval_pp
+from zpure.ppdef import PpFormula, PpPair, enumerate_pp, eval_pp, pp_conjunctions
 from zpure.zmodlin import IntMatrix, hermite_extend, hermite_key
 
 from helpers import direct_sum_sequences, fp_functor_exact, inverse, pp_pair_exact
@@ -352,7 +352,7 @@ def test_module_tables_match_per_entry_terms(modulus):
             p = eval_pp(phi, module)
             for j, psi in enumerate(formulas):
                 q = eval_pp(PpPair.of(phi, psi).psi, module)
-                expected = InducedTerm(p.ambient_orders, p.gens, p.key, q.key,
+                expected = InducedTerm(p.ambient_orders, p.key, q.key,
                                        p.cardinality // q.cardinality)
                 assert table.pp(i, j) == expected, (module, phi, psi)
 
@@ -363,8 +363,8 @@ def test_module_tables_evaluate_conjunctions_outside_the_catalog():
     bounds = Bounds(pp_rows=1)
     formulas = enumerate_pp(8, bounds.pp_free, bounds.pp_exists, bounds.pp_rows)
     assert len(formulas) == 7
-    assert any(not isinstance(c, int) for c in purity._pp_conjunctions(8, bounds))
-    assert all(isinstance(c, int) for c in purity._pp_conjunctions(8, DEFAULT_BOUNDS))
+    assert any(not isinstance(c, int) for c in pp_conjunctions(8, 1, 2, 1))
+    assert all(isinstance(c, int) for c in pp_conjunctions(8, 1, 2, 2))
     for chain in reference_divisor_chains(8, 3):
         module = Z(8, *chain)
         table = module_terms(module, bounds)
@@ -405,12 +405,12 @@ def test_induced_exact_rejects_ill_defined_maps():
     # terms of F(Z/4) = G/R by hand: a map that does not carry G into G or
     # R into R gives no verdict but raises
     ident = ModuleMap.identity(Z(4, 4))
-    whole = InducedTerm((4,), ((1,),), ((1,),), ((4,),), 4)     # Z/4 / 0
-    halved = InducedTerm((4,), ((2,),), ((2,),), ((4,),), 2)    # 2Z/4 / 0
-    mod_two = InducedTerm((4,), ((1,),), ((1,),), ((2,),), 2)   # Z/4 / 2Z/4
+    whole = InducedTerm((4,), ((1,),), ((4,),), 4)     # Z/4 / 0
+    halved = InducedTerm((4,), ((2,),), ((4,),), 2)    # 2Z/4 / 0
+    mod_two = InducedTerm((4,), ((1,),), ((2,),), 2)   # Z/4 / 2Z/4
 
     def exact(*terms):
-        return InducedMaps(ident, ident).exact(*terms, blocks=1, group=None)
+        return InducedMaps(ident, ident).exact(*terms, blocks=1)
 
     assert exact(whole, whole, whole) is False
     with pytest.raises(InternalCheckError, match="ill-defined"):
@@ -420,22 +420,50 @@ def test_induced_exact_rejects_ill_defined_maps():
 
 
 def test_induced_maps_reject_ill_defined_maps_in_a_group():
-    # the carrier checks run once per group, at its first entry; a failing
-    # one raises and is not kept, so it raises again on reuse, and the
-    # relation checks run for every entry of a kept group
+    # the carrier checks run once per carrier triple, at its first entry; a
+    # failing one raises and is not kept, so it raises again on reuse, and
+    # the relation checks run for every entry of a kept triple (mod_two has
+    # the carriers of whole)
     ident = ModuleMap.identity(Z(4, 4))
-    whole = InducedTerm((4,), ((1,),), ((1,),), ((4,),), 4)
-    halved = InducedTerm((4,), ((2,),), ((2,),), ((4,),), 2)
-    mod_two = InducedTerm((4,), ((1,),), ((1,),), ((2,),), 2)
+    whole = InducedTerm((4,), ((1,),), ((4,),), 4)
+    halved = InducedTerm((4,), ((2,),), ((4,),), 2)
+    mod_two = InducedTerm((4,), ((1,),), ((2,),), 2)
     maps = InducedMaps(ident, ident)
     for _ in ("first use", "reuse"):
         with pytest.raises(InternalCheckError, match="ill-defined"):
-            maps.exact(whole, halved, whole, blocks=1, group="halved")
-    assert maps.exact(whole, whole, whole, blocks=1, group="whole") is False
+            maps.exact(whole, halved, whole, blocks=1)
+    assert maps.exact(whole, whole, whole, blocks=1) is False
     for _ in ("first use", "reuse"):
         with pytest.raises(InternalCheckError, match="ill-defined"):
-            maps.exact(mod_two, whole, whole, blocks=1, group="whole")
-    assert maps.exact(whole, whole, whole, blocks=1, group="whole") is False
+            maps.exact(mod_two, whole, whole, blocks=1)
+    assert maps.exact(whole, whole, whole, blocks=1) is False
+
+
+@pytest.mark.parametrize("modulus,bounds", [(8, DEFAULT_BOUNDS), (9, DEFAULT_BOUNDS),
+                                            (4, Bounds(pp_free=2, pp_exists=1, pp_rows=1)),
+                                            (9, Bounds(pp_free=2, pp_exists=1, pp_rows=1))])
+def test_shared_induced_maps_match_fresh_ones(modulus, bounds):
+    # one InducedMaps judging a sequence's fp and pp entries in shuffled
+    # order shares its pushes between entries with equal carriers, fp and pp
+    # ones alike; each entry must get the verdict a fresh InducedMaps gives
+    rng = random.Random(f"shuffled:{modulus}")
+    verdicts = set()
+    for s in range(16):
+        seq = random_ses(modulus, seed=f"shuffled:{s}", max_gens=3)
+        tables = [module_terms(m, bounds) for m in (seq.left, seq.middle, seq.right)]
+        entries = [([t.fp(i) for t in tables], u.domain.ngens)
+                   for i, u in enumerate(tables[0].fp_maps)]
+        n = len(tables[0].pp_formulas)
+        entries += [([t.pp(i, j) for t in tables], bounds.pp_free)
+                    for i in range(n) for j in range(n)]
+        rng.shuffle(entries)
+        shared = InducedMaps(seq.f, seq.g)
+        for terms, blocks in entries:
+            verdict = shared.exact(*terms, blocks=blocks)
+            assert verdict == InducedMaps(seq.f, seq.g).exact(*terms, blocks=blocks), seq
+            verdicts.add(verdict)
+        assert len(shared._carriers) < len(entries)
+    assert verdicts == {True, False}
 
 
 def test_pp_checker_examples():
@@ -813,6 +841,30 @@ def test_harness_runs_serially_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert purity.harness_workers(4, 100) == 1
     assert equivalence_harness(4, 12, seed=5, jobs=2) == reference_harness(4, 12, 5)
+
+
+# sha256 and size of the fp catalog at depth 2 by modulus; a member is its
+# domain invariants, codomain invariants and matrix.  The members are those
+# of hom presentations taken mod N: N=72 keeps 454 maps, where the integer
+# Smith form once gave 456, and the members at N=24 and 36 moved then too.
+FP_CATALOG_SHA256 = {
+    8: (33, "00de8c3fe00c64ee4c18ada4f44ce3cb48c177ce38372cafe5b8aa0f289daef7"),
+    12: (36, "6e14281fcd6a94c9d1b954077ff93d54e7eaf0cf0e087fecb03c59a3cead3e98"),
+    24: (112, "d425c3d5938b45ae1e9d0f616135b49ef6dae093556ca206cb6b17eb95aad87b"),
+    36: (150, "01bad6b1ccac99b5e0d2e7196f14f01fdd235845a5fe1473dbed213749e13eae"),
+    72: (454, "7aabb189a6ef3187c4e33777b81bd0297f468bf2ee49ab74a1c9b8094d9c94bb"),
+}
+
+
+@pytest.mark.parametrize("modulus", sorted(FP_CATALOG_SHA256))
+def test_fp_catalog_is_pinned(modulus):
+    # reference_fp_catalog draws its candidates from the same hom_module
+    # basis, so it moves with it; these hashes do not
+    records = [[list(u.domain.invariants), list(u.codomain.invariants), u.matrix.tolists()]
+               for u in fp_catalog(modulus, 2)]
+    blob = json.dumps(records, separators=(",", ":")).encode()
+    assert (len(records), hashlib.sha256(blob).hexdigest()) == FP_CATALOG_SHA256[modulus]
+
 
 # sha256 of the d-torsion subgroups' generators, project and lift matrices,
 # as the Hermite kernel and the Smith reduction over Z/N make them (the
