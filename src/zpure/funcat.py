@@ -27,13 +27,22 @@ element.  Character duals are the hom groups Hom(-, Z/N) of
 the same two calls.  Natural transformations solve one congruence system with
 the modular Hermite kernel ``zmodlin.hermite_kernel``, whose entries never
 exceed N.
+
+The lemma suites draw the same functors again and again, so functors and
+coends are memoized by the data that presents them, each memo bounded by
+count: ``fp_functor_from_map`` by (u, D, variance), defaults filled in (128),
+``dual_functor`` by its functor (128) and ``coend_tensor`` by its pair (512),
+next to ``restrict_module`` and ``tensor_functor`` (256 each).  A memoized
+functor keeps the composite actions it has built, up to d(N)^2 maps.
+``fp_value`` keeps no cache: ``fp_functor_from_map`` asks it once per object.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd
 from operator import mul
 from typing import Callable, Sequence
@@ -65,6 +74,27 @@ from .zmodlin import IntMatrix, Vec, hermite_kernel
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
+
+
+def _memo(maxsize: int):
+    """``lru_cache(maxsize)`` keyed on the arguments bound to the signature,
+    defaults filled in, so that f(u, cat) and f(u, cat, COVARIANT) share one
+    entry; ``cache_info``, ``cache_clear`` and ``cache_parameters`` are the
+    cache's, and ``__wrapped__`` is the function."""
+    def decorate(fn):
+        cached = lru_cache(maxsize)(fn)
+        signature = inspect.signature(fn)
+
+        @wraps(fn)
+        def memo(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        memo.cache_parameters = cached.cache_parameters
+        return memo
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -165,6 +195,9 @@ class FunctorOnD:
     ``steps[k]`` is F(g_{d,e}) for the k-th pair of ``category.prime_steps``.
     For a covariant functor ``action(d, e)`` is F(g_{d,e}): F(d) -> F(e);
     for a contravariant one it is F(g_{d,e}): F(e) -> F(d).
+
+    Equal by the compared fields, and hashed by them once, at construction:
+    a functor is the key of the ``dual_functor`` and ``coend_tensor`` memos.
     """
 
     category: IndexCategoryD
@@ -172,6 +205,7 @@ class FunctorOnD:
     values: tuple[CanonicalModule, ...]
     steps: tuple[ModuleMap, ...]
     _actions: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variance not in (COVARIANT, CONTRAVARIANT):
@@ -181,6 +215,10 @@ class FunctorOnD:
             raise InputError("functor data has wrong shape")
         self._validate()
         object.__setattr__(self, "_actions", dict(zip(cat.prime_steps, self.steps)))
+        object.__setattr__(self, "_hash", hash((cat, self.variance, self.values, self.steps)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def value(self, d: int) -> CanonicalModule:
         return self.values[self.category.index_of(d)]
@@ -305,6 +343,7 @@ def tensor_functor(cat: IndexCategoryD, y: CanonicalModule) -> FunctorOnD:
     return functor_from_values(cat, COVARIANT, value_of, action_of)
 
 
+@lru_cache(maxsize=128)
 def dual_functor(F: FunctorOnD) -> FunctorOnD:
     """Objectwise character dual; reverses variance."""
     variance = CONTRAVARIANT if F.is_covariant() else COVARIANT
@@ -328,7 +367,6 @@ class FpValue:
     hom: HomModule       # realization of the hom group being quotiented
 
 
-@lru_cache(maxsize=4096)
 def fp_value(u: ModuleMap, c: CanonicalModule, variance: str = COVARIANT) -> FpValue:
     """coker(Hom(a, c) -> Hom(b, c)) for u: b -> a (covariant), or
     coker(Hom(c, b) -> Hom(c, a)) (contravariant)."""
@@ -357,6 +395,7 @@ def fp_induced(u: ModuleMap, f: ModuleMap, variance: str = COVARIANT) -> ModuleM
     return _fp_action(fp_value(u, src, variance), fp_value(u, dst, variance), f, variance)
 
 
+@_memo(maxsize=128)
 def fp_functor_from_map(u: ModuleMap, cat: IndexCategoryD,
                         variance: str = COVARIANT) -> FunctorOnD:
     """The fp functor presented by u, on D; D(a, -) is the one of Z/a -> 0."""
@@ -399,6 +438,7 @@ class CoendResult:
         return tuple(injections)
 
 
+@lru_cache(maxsize=512)
 def coend_tensor(G: FunctorOnD, F: FunctorOnD) -> CoendResult:
     if G.category != F.category:
         raise InputError("coend across different index categories")

@@ -304,11 +304,15 @@ def enumerate_pp(modulus: int, free_vars: int = 1, max_bound: int = 2,
     s_(j+1) <= s_j + 1.  Each step of s is 0 or 1, which leaves 2^k sequences
     per prime and 2^Omega(N) classes in all.  Every later candidate would be a
     dropped duplicate, so the catalog is the one the full scan builds.  With
-    more free variables there is no such bound and the scan runs to the end.
+    more free variables there is no such bound and the scan runs to the end,
+    except at N = 1: it has no prime power, so every formula defines the zero
+    subgroup of the zero module, and the one class 2^0 is the cap whatever
+    the number of free variables.
     """
     if free_vars < 1 or max_bound < 0 or max_rows < 0:
         raise InputError("catalog bounds out of range")
-    cap = 2 ** len(prime_powers(modulus)) if free_vars == 1 else None
+    powers = prime_powers(modulus)
+    cap = 2 ** len(powers) if free_vars == 1 or not powers else None
     catalog: list[PpFormula] = []
     seen_sigs = set()
     for formula in _candidate_formulas(modulus, free_vars, max_bound, max_rows):

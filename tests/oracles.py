@@ -412,18 +412,33 @@ def reference_fp_catalog(modulus, depth):
 
 # ---------------------------------------------------------------------------
 # The fp and pp checkers as first written: every induced sequence is built
-# from canonical quotient modules and validated module maps
-# (``zpure.funcat.fp_induced``, ``zpure.ppdef.induced_pp_map``) and judged by
-# ``zpure.finmod.is_exact``.  They are the references for the checkers of
-# ``zpure.purity``, which read exactness off subgroup orders.
+# from canonical quotient modules and validated module maps (as
+# ``zpure.funcat.fp_induced`` builds them, and ``zpure.ppdef.induced_pp_map``)
+# and judged by ``zpure.finmod.is_exact``.  They are the references for the
+# checkers of ``zpure.purity``, which read exactness off subgroup orders.
+
+
+@lru_cache(maxsize=32768)
+def cached_fp_value(u, c):
+    """``zpure.funcat.fp_value`` (covariant), kept per (u, c).  The library
+    keeps no cache on it, and the fp references ask for the same quotients
+    across many sequences."""
+    from zpure.funcat import fp_value
+
+    return fp_value(u, c)
 
 
 def reference_fp_functor_exact(u, seq):
-    """Exactness of F_u(L) -> F_u(M) -> F_u(N) through canonical maps."""
+    """Exactness of F_u(L) -> F_u(M) -> F_u(N) through canonical maps, each
+    built as ``zpure.funcat.fp_induced`` builds it."""
     from zpure.finmod import is_exact
-    from zpure.funcat import fp_induced
+    from zpure.funcat import _fp_action
 
-    return is_exact(fp_induced(u, seq.f), fp_induced(u, seq.g))
+    def induced(f):
+        return _fp_action(cached_fp_value(u, f.domain), cached_fp_value(u, f.codomain), f,
+                          "covariant")
+
+    return is_exact(induced(seq.f), induced(seq.g))
 
 
 def reference_pp_pair_exact(phi, psi, seq):

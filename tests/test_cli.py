@@ -450,6 +450,25 @@ def test_check_at_modulus_one_with_a_huge_pp_bound_finishes(tmp_path, bound):
     assert all(json.loads(proc.stdout)["verdicts"].values())
 
 
+def test_check_at_modulus_one_with_both_pp_bounds_huge_finishes(tmp_path):
+    # N = 1 has one pp class whatever pp_free, so the scan stops at its first
+    # formula; with both bounds at 10^9 it once walked the bound-variable
+    # widths past a 10 s timeout
+    path = tmp_path / "m1.json"
+    path.write_text(json.dumps({"modulus": 1, "L": [], "M": [], "N": [], "f": [], "g": []}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "zpure.cli", "check", str(path),
+                           "--pp-free", "2", "--pp-rows", "1000000000",
+                           "--pp-exists", "1000000000"],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 0, proc.stderr
+    assert all(json.loads(proc.stdout)["verdicts"].values())
+
+
 @pytest.mark.parametrize("bounds,message", [
     (("--fp-depth", "0"), "fp_depth 0"),
     (("--pp-free", "2", "--pp-rows", "0"), "pp_rows 0"),

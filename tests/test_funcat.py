@@ -1,3 +1,5 @@
+import dataclasses
+import operator
 import os
 import random
 import subprocess
@@ -89,6 +91,21 @@ def Z(n, *invs):
 
 
 CAT4 = build_index_category(4)
+
+
+MEMOS = (funcat.fp_functor_from_map, funcat.dual_functor, funcat.coend_tensor)
+
+
+@pytest.fixture
+def cleared_memos():
+    """Empty the functor-level memos before and after a test, so that a test
+    which patches funcat's internals neither reads entries built without the
+    patch nor leaves entries built with it."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def nat_family(nat, element):
@@ -191,7 +208,7 @@ def test_coend_lemma_examples():
     assert res2.group == direct
 
 
-def test_coend_checks_its_projection_against_the_tensor_orders(monkeypatch):
+def test_coend_checks_its_projection_against_the_tensor_orders(monkeypatch, cleared_memos):
     """The check that stands for the injections' ModuleMap checks: a
     projection column not killed by its order is refused before any
     injection is read."""
@@ -206,6 +223,7 @@ def test_coend_checks_its_projection_against_the_tensor_orders(monkeypatch):
         return Presentation(pres.module, project, pres.lift)
 
     monkeypatch.setattr(funcat, "normalize_presentation", shifted)
+    coend_tensor.cache_clear()  # else the memo answers without building
     with pytest.raises(InternalCheckError, match="tensor orders"):
         coend_tensor(G, F)
 
@@ -678,7 +696,7 @@ def test_table_validator_agrees_on_random_mutations():
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
-def test_nat_solutions_match_kernel_mod(n, monkeypatch):
+def test_nat_solutions_match_kernel_mod(n, monkeypatch, cleared_memos):
     systems = []
 
     def spy(rows, moduli, width):
@@ -755,10 +773,87 @@ def test_nat_system_that_hung_finishes():
 def test_every_funcat_cache_is_bounded():
     caches = {name: fn for name, fn in vars(funcat).items()
               if hasattr(fn, "cache_parameters") and fn.__module__ == funcat.__name__}
-    assert {"build_index_category", "restrict_module",
-            "tensor_functor", "fp_value"} <= set(caches)
+    assert {"build_index_category", "restrict_module", "tensor_functor",
+            "fp_functor_from_map", "dual_functor", "coend_tensor"} <= set(caches)
+    assert "fp_value" not in caches
     for name, fn in caches.items():
         assert fn.cache_parameters()["maxsize"] is not None, name
+
+
+def test_functor_is_hashed_once_by_its_compared_fields():
+    cat = build_index_category(12)
+    rng = random.Random("hash-once")
+    u = random_hom(random_module(12, rng, 2), random_module(12, rng, 2), rng)
+    build = funcat.fp_functor_from_map.__wrapped__
+    F, F2 = build(u, cat), build(u, cat)
+    assert F is not F2 and F == F2 and hash(F) == hash(F2)
+    compared = tuple(getattr(F, f.name) for f in dataclasses.fields(F) if f.compare)
+    assert compared == (F.category, F.variance, F.values, F.steps)
+    assert hash(F) == F._hash == hash(compared)
+    # equality still reads the compared fields: another variance is unequal
+    assert F != build(u, cat, CONTRAVARIANT)
+
+
+def _same_coend(a, b):
+    return ((a.group, a.pres, a.offsets, a.orders, a.injections) ==
+            (b.group, b.pres, b.offsets, b.orders, b.injections))
+
+
+def _check_memo(memo, keys, same=operator.eq) -> tuple[list, bool]:
+    """Call ``memo`` on each key in turn, every answer, hit or miss, against
+    ``memo.__wrapped__``.  Where the distinct keys outnumber the memo, the
+    one used longest ago has been evicted: it is rebuilt, and equal.  Returns
+    the answers and whether that happened."""
+    answers = []
+    for key in keys:
+        answers.append(memo(*key))
+        assert same(answers[-1], memo.__wrapped__(*key)), (memo.__name__, key)
+    last_use = {key: pos for pos, key in enumerate(keys)}
+    evicted = len(last_use) > memo.cache_parameters()["maxsize"]
+    if evicted:
+        oldest = min(last_use, key=last_use.get)
+        misses = memo.cache_info().misses
+        assert same(memo(*oldest), memo.__wrapped__(*oldest)), (memo.__name__, oldest)
+        assert memo.cache_info().misses == misses + 1
+    return answers, evicted
+
+
+# Seeded presentations per modulus, and the memos they overrun: at N=24 the
+# (u, variance) keys and the functors outnumber the functor memos (128), and
+# at N=12 the 23 x 23 coend pairs outnumber the coend memo (512).
+MEMO_DRAWS = {4: 30, 6: 30, 12: 60, 24: 200, 72: 30}
+MEMO_OVERRUNS = {12: {"coend_tensor"}, 24: {"fp_functor_from_map", "dual_functor"}}
+
+
+@pytest.mark.parametrize("n", sorted(MEMO_DRAWS))
+def test_memos_match_what_they_wrap(n, cleared_memos):
+    cat = build_index_category(n)
+    rng = random.Random(f"memo:{n}")
+    maps = []
+    for _ in range(MEMO_DRAWS[n]):
+        b, a = random_module(n, rng, 2), random_module(n, rng, 2)
+        maps.append(random_hom(b, a, rng))
+    overruns = set()
+
+    def check(memo, keys, same=operator.eq):
+        answers, evicted = _check_memo(memo, keys, same)
+        if evicted:
+            overruns.add(memo.__name__)
+        return answers
+
+    functors = check(fp_functor_from_map,
+                     [(u, cat, variance) for u in maps for variance in (COVARIANT, CONTRAVARIANT)])
+    # a defaulted variance, an explicit one and a keyword share one entry
+    for u in maps[:5]:
+        assert fp_functor_from_map(u, cat) is fp_functor_from_map(u, cat, COVARIANT) \
+            is fp_functor_from_map(u, cat, variance=COVARIANT)
+    duals = check(dual_functor, [(F,) for F in functors])
+    distinct = list(dict.fromkeys(functors + duals))
+    covs = [F for F in distinct if F.is_covariant()]
+    contras = [G for G in distinct if not G.is_covariant()]
+    k = 23 if n == 12 else 6
+    check(coend_tensor, [(G, F) for G in contras[:k] for F in covs[:k]], _same_coend)
+    assert overruns == MEMO_OVERRUNS.get(n, set())
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +898,7 @@ def test_coends_match_reference(n):
         contras = (restrict_module(cat, c), fp_functor_from_map(u, cat, CONTRAVARIANT),
                    dual_functor(tensor_functor(cat, y)))
         for G in contras:
+            coend_tensor.cache_clear()  # a memo hit may have read its injections
             coend = coend_tensor(G, F)
             ref, ref_injections = reference_coend_tensor(G, F)
             assert (coend.group, coend.pres, coend.offsets, coend.orders) == \

@@ -382,6 +382,20 @@ def test_capped_scan_is_a_prefix(monkeypatch, bounds):
         assert len(set(sigs[:len(offered) - 1])) == cap - 1
 
 
+@pytest.mark.parametrize("bounds", [(1, 1, 2, 2), (1, 2, 1, 1), (1, 2, 2, 2), (1, 2, 3, 3),
+                                    (1, 3, 2, 2)], ids=bounds_id)
+def test_modulus_one_stops_at_its_one_class(monkeypatch, bounds):
+    # N = 1 has no prime power, so every formula signs as the empty tuple
+    # whatever the number of free variables: the scan keeps the trivial
+    # formula it offers first and stops there
+    offered = _offered_formulas(monkeypatch, bounds)
+    full, sigs = _uncapped_scan(bounds)
+    assert set(sigs) == {()}
+    assert offered == list(full[:1])
+    catalog = enumerate_pp(*bounds)
+    assert catalog == full[:1] and str(catalog[0]) == "0 = 0"
+
+
 def _same_classes(formulas, modulus):
     new = [ppdef._formula_signature(f, modulus) for f in formulas]
     ref = [reference_formula_signature(f, modulus) for f in formulas]
